@@ -36,11 +36,13 @@ from .intlinalg import (
     IntSymMatrix,
     Mod2Solution,
     SmithDecomposition,
+    SmithMod2,
     Z2Matrix,
     congruence,
     det_int,
     direct_sum,
     signature,
+    smith_mod2,
     smith_normal_form,
     solve_mod2,
 )
@@ -99,6 +101,7 @@ __all__ = [
     "SeifertFillingR6",
     "SmaleClass",
     "SmithDecomposition",
+    "SmithMod2",
     "SpinBoundarySignatures",
     "SpinStructure",
     "SurgeryPresentation",
@@ -123,6 +126,7 @@ __all__ = [
     "signature_of_trace",
     "smale_via_seifert_r5",
     "smale_via_seifert_r6",
+    "smith_mod2",
     "smith_normal_form",
     "solve_for_summand",
     "solve_mod2",

@@ -645,6 +645,8 @@ def _resolve_seed(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     sections = []
     if args.file:
         sections.append(verify_file_report(load_records(args.file)))

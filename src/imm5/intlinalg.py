@@ -1,17 +1,19 @@
 """Exact linear algebra over Z and Z2.
 
 This module is the computational substrate for everything else: Smith
-normal form with unimodular transforms, exact signatures of symmetric
-integer matrices, fraction-free determinants, and GF(2) solving on bit
-matrices.  All integer arithmetic is arbitrary precision and no
-floating point is used anywhere.
+normal form, fraction-free signatures of symmetric integer matrices
+and determinants, and GF(2) solving on bit matrices.  One Smith pivot
+loop serves two routines: ``smith_normal_form`` with both unimodular
+transforms, and ``smith_mod2`` with the invariant factors and the left
+transform mod 2 only, so no transform entry grows.  The signature is
+symmetric Bareiss elimination in integers.  All integer arithmetic is
+arbitrary precision and neither fractions nor floating point are used.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -153,6 +155,53 @@ class SmithDecomposition:
     invariant_factors: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class SmithMod2:
+    """Invariant factors of a and the left transform u of u*a*v = s, mod 2.
+
+    ``u_mod2[i]`` is row i of u as a bitmask (bit j holds u[i][j] mod 2).
+    The elimination is the one ``smith_normal_form`` runs, so this is
+    that routine's u reduced mod 2, bit for bit.
+    """
+
+    invariant_factors: tuple[int, ...]
+    u_mod2: tuple[int, ...]
+
+
+class _IntRows:
+    """Exact integer rows, starting from the identity, that replay row
+    operations (a column operation on v is a row operation on v^T)."""
+
+    def __init__(self, n: int):
+        self.rows = _identity(n)
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+
+    def add(self, dst: int, src: int, c: int) -> None:
+        _row_add(self.rows, dst, src, c)
+
+    def negate(self, k: int) -> None:
+        self.rows[k] = [-x for x in self.rows[k]]
+
+
+class _Mod2Rows:
+    """The same replay mod 2, one int bitmask per row."""
+
+    def __init__(self, n: int):
+        self.rows = [1 << i for i in range(n)]
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+
+    def add(self, dst: int, src: int, c: int) -> None:
+        if c & 1:
+            self.rows[dst] ^= self.rows[src]
+
+    def negate(self, k: int) -> None:
+        pass
+
+
 def _min_abs_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
     best = None
     best_abs = None
@@ -184,21 +233,25 @@ def _col_add(a: list[list[int]], dst: int, src: int, c: int) -> None:
         row[dst] += c * row[src]
 
 
-def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
-    """Smith normal form of an integer matrix, with transforms.
-
-    Returns a decomposition with ``u @ a @ v == s`` exactly, where u and
-    v are unimodular and s is diagonal with a divisibility chain
-    d1 | d2 | ... (all di >= 0, zeros last).  The empty matrix yields
-    the empty decomposition.
-    """
+def _as_rect(a: IntSymMatrix | Rows) -> tuple[list[list[int]], int, int]:
     A = _as_row_lists(a)
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("ragged matrix")
-    U = _identity(m)
-    V = _identity(n)
+    return A, m, n
+
+
+def _smith_reduce(A: list[list[int]], u, vt) -> tuple[int, ...]:
+    """Reduce the m x n matrix A in place to Smith form; return its diagonal.
+
+    This is the one pivot loop behind every Smith routine.  Each row
+    operation on A is replayed on ``u`` and each column operation on
+    ``vt`` (unless it is None) as the matching row operation, so vt ends
+    as v^T; both replay through ``swap``/``add``/``negate`` methods.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
     t = 0
     while t < min(m, n):
         piv = _min_abs_entry(A, t)
@@ -207,62 +260,125 @@ def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
         i0, j0 = piv
         if i0 != t:
             A[t], A[i0] = A[i0], A[t]
-            U[t], U[i0] = U[i0], U[t]
+            u.swap(t, i0)
         if j0 != t:
             _swap_cols(A, t, j0)
-            _swap_cols(V, t, j0)
+            if vt is not None:
+                vt.swap(t, j0)
         p = A[t][t]
         dirty = False
         for i in range(t + 1, m):
             if A[i][t]:
                 q = A[i][t] // p
                 _row_add(A, i, t, -q)
-                _row_add(U, i, t, -q)
+                u.add(i, t, -q)
                 dirty = dirty or A[i][t] != 0
         for j in range(t + 1, n):
             if A[t][j]:
                 q = A[t][j] // p
                 _col_add(A, j, t, -q)
-                _col_add(V, j, t, -q)
+                if vt is not None:
+                    vt.add(j, t, -q)
                 dirty = dirty or A[t][j] != 0
         if dirty:
             # a remainder smaller than the pivot appeared; rehunt
             continue
         off = None
-        for i in range(t + 1, m):
-            if any(A[i][j] % p for j in range(t + 1, n)):
-                off = i
-                break
+        if p not in (1, -1):  # a unit pivot divides everything
+            for i in range(t + 1, m):
+                if any(A[i][j] % p for j in range(t + 1, n)):
+                    off = i
+                    break
         if off is not None:
             # fold the offending row in so the pivot can shrink to the gcd
             _row_add(A, t, off, 1)
-            _row_add(U, t, off, 1)
+            u.add(t, off, 1)
             continue
         t += 1
     for k in range(min(m, n)):
         if A[k][k] < 0:
-            for j in range(n):
-                A[k][j] = -A[k][j]
-            for j in range(m):
-                U[k][j] = -U[k][j]
-    factors = tuple(A[k][k] for k in range(min(m, n)))
-    return SmithDecomposition(_freeze(U), _freeze(V), _freeze(A), factors)
+            A[k] = [-x for x in A[k]]
+            u.negate(k)
+    return tuple(A[k][k] for k in range(min(m, n)))
+
+
+def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
+    """Smith normal form of an integer matrix, with transforms.
+
+    Returns a decomposition with ``u @ a @ v == s`` exactly, where u and
+    v are unimodular and s is diagonal with a divisibility chain
+    d1 | d2 | ... (all di >= 0, zeros last).  The empty matrix yields
+    the empty decomposition.
+    """
+    A, m, n = _as_rect(a)
+    u, vt = _IntRows(m), _IntRows(n)
+    factors = _smith_reduce(A, u, vt)
+    v = [list(col) for col in zip(*vt.rows)]
+    return SmithDecomposition(_freeze(u.rows), _freeze(v), _freeze(A), factors)
+
+
+def smith_mod2(a: IntSymMatrix | Rows) -> SmithMod2:
+    """Invariant factors and u mod 2 of ``smith_normal_form(a)``.
+
+    Runs the same elimination but keeps u over Z2 and no v at all, so
+    no transform entry grows; only the entries of a itself do.
+    """
+    A, m, _ = _as_rect(a)
+    u = _Mod2Rows(m)
+    factors = _smith_reduce(A, u, None)
+    return SmithMod2(factors, tuple(u.rows))
+
+
+def inverse_mod2(rows: Sequence[int], n: int) -> list[int]:
+    """Inverse over Z2 of an invertible n x n bit matrix given as row
+    bitmasks (bit j of ``rows[i]`` is entry (i, j)), as row bitmasks.
+
+    Raises NoSolution when the matrix is singular mod 2.
+    """
+    # Gauss-Jordan on [a | I]: the identity rides in bits n .. 2n-1
+    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    for c in range(n):
+        bit = 1 << c
+        piv = next((i for i in range(c, n) if aug[i] & bit), None)
+        if piv is None:
+            raise NoSolution("matrix is singular mod 2")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(n):
+            if i != c and aug[i] & bit:
+                aug[i] ^= aug[c]
+    return [r >> n for r in aug]
 
 
 # ----------------------------------------------------------------------
-# Signature (exact congruence diagonalisation over Q)
+# Signature (fraction-free symmetric Bareiss elimination)
 # ----------------------------------------------------------------------
+
+def _rescale(row: list[int], t: int, old: int, new: int) -> None:
+    """Bring the live part row[t:] from pivot level ``old`` to ``new``."""
+    if old != new:
+        row[t:] = [x * new // old for x in row[t:]]
+
 
 def signature(a: IntSymMatrix | Rows) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
-    Returns (#positive - #negative eigenvalues) via symmetric
-    congruence reduction with rational pivots.  The empty matrix has
-    signature 0.
+    Returns (#positive - #negative eigenvalues) by symmetric congruence
+    reduction in integers only (Bareiss 1968).  After a pivot p the
+    trailing block holds p times the Schur complement, so the next step
+    divides exactly by p, and the rational pivot the step stands for is
+    new/p: positive when the new pivot has the sign of p.
+
+    Scaling is lazy: a row whose pivot-column entry is 0 is left as it
+    is and remembers the pivot ``level[i]`` it was last scaled by, so a
+    sparse matrix costs little more than its nonzero entries.  Row i
+    times (current pivot) / level[i] is its value in the current block,
+    an integer because every such entry is a bordered minor.  The empty
+    matrix has signature 0.
     """
-    rows = _as_row_lists(a)
-    n = len(rows)
-    M = [[Fraction(x) for x in row] for row in rows]
+    M = _as_row_lists(a)
+    n = len(M)
+    level = [1] * n
+    prev = 1
     pos = neg = 0
     t = 0
     while t < n:
@@ -270,7 +386,9 @@ def signature(a: IntSymMatrix | Rows) -> int:
             swap = next((j for j in range(t + 1, n) if M[j][j] != 0), None)
             if swap is not None:
                 M[t], M[swap] = M[swap], M[t]
-                for row in M:
+                level[t], level[swap] = level[swap], level[t]
+                for k in range(t, n):
+                    row = M[k]
                     row[t], row[swap] = row[swap], row[t]
             else:
                 mate = next((j for j in range(t + 1, n) if M[t][j] != 0), None)
@@ -279,23 +397,32 @@ def signature(a: IntSymMatrix | Rows) -> int:
                     t += 1
                     continue
                 # all remaining diagonal entries vanish, so this makes
-                # M[t][t] = 2*M[t][mate] != 0
-                for j in range(n):
-                    M[t][j] += M[mate][j]
-                for i in range(n):
-                    M[i][t] += M[i][mate]
-        p = M[t][t]
-        if p > 0:
+                # M[t][t] = 2*M[t][mate] != 0; both rows first come to
+                # the current scale
+                for i in (t, mate):
+                    _rescale(M[i], t, level[i], prev)
+                    level[i] = prev
+                rt, rm = M[t], M[mate]
+                for j in range(t, n):
+                    rt[j] += rm[j]
+                for k in range(t, n):
+                    M[k][t] += M[k][mate]
+        piv = M[t]
+        _rescale(piv, t, level[t], prev)
+        p = piv[t]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(t + 1, n):
-            if M[i][t]:
-                c = M[i][t] / p
-                for j in range(n):
-                    M[i][j] -= c * M[t][j]
-                for k in range(n):
-                    M[k][i] -= c * M[k][t]
+            row = M[i]
+            c = row[t]
+            if c:
+                lv = level[i]
+                row[t + 1:] = [(p * x - c * y) // lv
+                               for x, y in zip(row[t + 1:], piv[t + 1:])]
+                level[i] = p
+        prev = p
         t += 1
     return pos - neg
 

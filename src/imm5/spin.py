@@ -4,20 +4,18 @@ A spin structure on the presented manifold is a Z2 vector c over the
 link components with q c = diag(q) mod 2.  The solution set realises
 H^1(M; Z2) as a torsor; the quotient map onto
 H^1(M; Z2) / rho(H^1(M; Z)) = Gamma2(M) is computed on differences of
-two spin structures through the Smith change of basis.
+two spin structures by evaluating them on the Gamma2 generators, the
+columns of u^{-1} mod 2 that the presentation computes once and keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InvalidSpinStructure
-from .intlinalg import Z2Matrix, solve_mod2, smith_normal_form
-from .surgery import (
-    Gamma2Element,
-    SurgeryPresentation,
-    even_torsion_positions,
-)
+from .intlinalg import Z2Matrix, solve_mod2
+from .surgery import Gamma2Element, SurgeryPresentation
 
 
 @dataclass(frozen=True)
@@ -40,15 +38,10 @@ def _q_mod2(p: SurgeryPresentation) -> Z2Matrix:
 
 def is_characteristic(p: SurgeryPresentation, s: SpinStructure) -> bool:
     """Whether s solves the characteristic-sublink equation for p."""
-    q = p.q.entries
-    n = p.n
-    if len(s.c) != n:
+    if len(s.c) != p.n:
         return False
-    for i in range(n):
-        acc = sum(q[i][j] * s.c[j] for j in range(n))
-        if (acc - q[i][i]) % 2:
-            return False
-    return True
+    return all((sum(map(mul, row, s.c)) - row[i]) % 2 == 0
+               for i, row in enumerate(p.q.entries))
 
 
 def spin_structures(p: SurgeryPresentation) -> list[SpinStructure]:
@@ -69,10 +62,10 @@ def wu_coset_of_difference(
     """Map the difference s1 - s2 in H^1(M; Z2) to its Wu coset.
 
     With u q v = s the Smith decomposition, the difference delta
-    descends to the functional x -> delta.x on H1 = coker(q); its value
-    on the Smith generator g_i = u^{-1} e_i is the i-th coordinate of
-    the solution of u^T c = delta over Z2.  The coordinates at even
-    torsion positions are the Gamma2 coordinates of the coset.  The
+    descends to the functional x -> delta.x on H1 = coker(q).  Its
+    values on the Smith generators g_i = u^{-1} e_i at the even torsion
+    positions are the Gamma2 coordinates of the coset; each is the
+    parity of delta against the cached bitmask of g_i mod 2.  The
     resulting map is onto Gamma2 with fibres of size 2**betti1.
     """
     for s in (s1, s2):
@@ -80,12 +73,6 @@ def wu_coset_of_difference(
             raise InvalidSpinStructure(
                 f"vector {s.c} fails the characteristic equation for {p.name!r}"
             )
-    delta = [a ^ b for a, b in zip(s1.c, s2.c)]
-    dec = smith_normal_form(p.q)
-    ut = [[dec.u[j][i] for j in range(p.n)] for i in range(p.n)]
-    sol = solve_mod2(Z2Matrix.from_rows(ut), delta)
-    # u is unimodular, hence invertible mod 2: the solution is unique
-    assert not sol.kernel
-    coords = tuple(sol.particular[i]
-                   for i in even_torsion_positions(dec.invariant_factors))
+    delta = sum((a ^ b) << j for j, (a, b) in enumerate(zip(s1.c, s2.c)))
+    coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
     return WuCoset(Gamma2Element(coords))

@@ -6,14 +6,20 @@ form of q: H1 = coker(q), its free rank and torsion, the count alpha of
 even torsion factors, and the 2-torsion subgroup Gamma2 of H^2 that
 indexes the Wu classes.  H^2 is identified with H1 throughout via
 Poincare duality, so only the group structure is ever represented.
+
+Each presentation runs the Smith elimination once, lazily, and keeps
+only what its readers need: the invariant factors and the left
+transform u mod 2 (``SurgeryPresentation.smith``), and from them the
+Gamma2 generators as bitmasks (``SurgeryPresentation.gamma2_generators``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .intlinalg import IntSymMatrix, signature, smith_normal_form
+from .intlinalg import IntSymMatrix, SmithMod2, inverse_mod2, signature, smith_mod2
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,22 @@ class SurgeryPresentation:
     @property
     def n(self) -> int:
         return self.q.n
+
+    @cached_property
+    def smith(self) -> SmithMod2:
+        """Invariant factors of q and u mod 2, with u q v = s its Smith
+        form; computed on first use and kept with the presentation."""
+        return smith_mod2(self.q)
+
+    @cached_property
+    def gamma2_generators(self) -> tuple[int, ...]:
+        """One bitmask over the link components per even torsion factor,
+        in Smith order: column i of u^{-1} mod 2, i.e. the Smith
+        generator g_i = u^{-1} e_i reduced mod 2.  A class delta in
+        H^1(M; Z2) has Gamma2 coordinate i equal to delta(g_i)."""
+        inv = inverse_mod2(self.smith.u_mod2, self.n)
+        return tuple(sum(((row >> i) & 1) << j for j, row in enumerate(inv))
+                     for i in even_torsion_positions(self.smith.invariant_factors))
 
 
 @dataclass(frozen=True)
@@ -109,7 +131,7 @@ class Gamma2Element:
 
 def homology_profile(p: SurgeryPresentation) -> HomologyProfile:
     """H1 of the presented manifold, as coker(q) read off the Smith form."""
-    factors = smith_normal_form(p.q).invariant_factors
+    factors = p.smith.invariant_factors
     betti1 = sum(1 for d in factors if d == 0)
     torsion = tuple(d for d in factors if d >= 2)
     return HomologyProfile.derive(betti1, torsion)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .embeddings import SpinBoundarySignatures, embedding_classes, is_embedding_class
 from .errors import HypothesisViolated, MissingData
@@ -146,21 +146,25 @@ def invariant_factors_via_minors(rows) -> tuple[int, ...]:
 
 
 def charpoly_int(rows) -> list[int]:
-    """Coefficients [1, c1, ..., cn] of det(x*I - A), exactly."""
+    """Coefficients [1, c1, ..., cn] of det(x*I - A), exactly.
+
+    Faddeev-LeVerrier in integers: for an integer matrix every
+    intermediate matrix is integral and k divides the k-th trace, so
+    each division is exact.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-    coeffs = [Fraction(1)]
+    a = [[int(x) for x in row] for row in rows]
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1]
     for k in range(1, n + 1):
-        work = [[sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
-        ck = -sum(work[i][i] for i in range(n)) / k
-        coeffs.append(ck)
+        cols = list(zip(*work))
+        work = [[sum(map(mul, arow, col)) for col in cols] for arow in a]
+        q, r = divmod(sum(work[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier trace not divisible by k"
+        coeffs.append(-q)
         for i in range(n):
-            work[i][i] += ck
-    assert all(c.denominator == 1 for c in coeffs)
-    return [int(c) for c in coeffs]
+            work[i][i] -= q
+    return coeffs
 
 
 def _sign_changes(seq: list[int]) -> int:

@@ -233,6 +233,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "verdict: FAIL" in out
 
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--oracles", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ParseError: --trials must be at least 1")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/records.json")
         assert code == 2

@@ -1,0 +1,198 @@
+"""Seeded differential tests: the integer-only kernels against the routines
+they replaced.
+
+The reference signature is the former ``Fraction`` congruence routine,
+kept here verbatim.  The mod-2 Smith routine is checked against the full
+``smith_normal_form`` (factors and u reduced mod 2), and the Wu map read
+off the cached Gamma2 generators against the former per-call route (a
+Smith form and a GF(2) solve of u^T c = delta on every call).
+
+Four seeded families of 2,500 matrices each cover general, singular,
+zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from imm5.intlinalg import (
+    IntSymMatrix,
+    Z2Matrix,
+    _as_row_lists,
+    signature,
+    smith_mod2,
+    smith_normal_form,
+    solve_mod2,
+)
+from imm5.spin import spin_structures, wu_coset_of_difference
+from imm5.surgery import SurgeryPresentation, even_torsion_positions, homology_profile
+
+PER_FAMILY = 2500
+FAMILIES = ("general", "singular", "zero_diagonal", "even_torsion")
+
+
+def fraction_signature(a) -> int:
+    """Signature of a symmetric integer matrix, computed exactly.
+
+    Returns (#positive - #negative eigenvalues) via symmetric
+    congruence reduction with rational pivots.  The empty matrix has
+    signature 0.
+    """
+    rows = _as_row_lists(a)
+    n = len(rows)
+    M = [[Fraction(x) for x in row] for row in rows]
+    pos = neg = 0
+    t = 0
+    while t < n:
+        if M[t][t] == 0:
+            swap = next((j for j in range(t + 1, n) if M[j][j] != 0), None)
+            if swap is not None:
+                M[t], M[swap] = M[swap], M[t]
+                for row in M:
+                    row[t], row[swap] = row[swap], row[t]
+            else:
+                mate = next((j for j in range(t + 1, n) if M[t][j] != 0), None)
+                if mate is None:
+                    # zero row: a zero eigenvalue, no signature contribution
+                    t += 1
+                    continue
+                # all remaining diagonal entries vanish, so this makes
+                # M[t][t] = 2*M[t][mate] != 0
+                for j in range(n):
+                    M[t][j] += M[mate][j]
+                for i in range(n):
+                    M[i][t] += M[i][mate]
+        p = M[t][t]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            if M[i][t]:
+                c = M[i][t] / p
+                for j in range(n):
+                    M[i][j] -= c * M[t][j]
+                for k in range(n):
+                    M[k][i] -= c * M[k][t]
+        t += 1
+    return pos - neg
+
+
+def per_call_wu_coords(p: SurgeryPresentation, s1, s2) -> tuple[int, ...]:
+    """The former Wu route: Smith form and GF(2) solve on every call."""
+    delta = [a ^ b for a, b in zip(s1.c, s2.c)]
+    dec = smith_normal_form(p.q)
+    ut = [[dec.u[j][i] for j in range(p.n)] for i in range(p.n)]
+    sol = solve_mod2(Z2Matrix.from_rows(ut), delta)
+    assert not sol.kernel
+    return tuple(sol.particular[i]
+                 for i in even_torsion_positions(dec.invariant_factors))
+
+
+def _unimodular(rng, n):
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        if n < 2:
+            break
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in g:
+            row[i] += c * row[j]
+    return g
+
+
+def _congruent_diagonal(rng, diag):
+    """g^T diag(d) g for a random unimodular g."""
+    n = len(diag)
+    g = _unimodular(rng, n)
+    return [[sum(g[k][i] * diag[k] * g[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _symmetric(rng, n, lo, hi):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = rng.randint(lo, hi)
+    return rows
+
+
+def instance(family: str, rng: random.Random) -> list[list[int]]:
+    n = rng.randint(0, 7)
+    if family == "general":
+        return _symmetric(rng, n, -4, 4)
+    if family == "singular":
+        # congruent to a diagonal with at least one zero
+        n = max(n, 1)
+        diag = [rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(n)]
+        diag[rng.randrange(n)] = 0
+        return _congruent_diagonal(rng, diag)
+    if family == "zero_diagonal":
+        rows = _symmetric(rng, n, -2, 2) if rng.random() < 0.5 else \
+            [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+            rows[i][i] = 0
+        return rows
+    # even_torsion: at least two even torsion factors, so alpha >= 2
+    n = max(n, 2)
+    diag = [rng.choice((2, -2, 4, 6, -8, 1, 3, 0)) for _ in range(n)]
+    diag[0], diag[1] = rng.choice((2, -2, 4)), rng.choice((2, 6, -4))
+    return _congruent_diagonal(rng, diag)
+
+
+def _mask(bits) -> int:
+    return sum((x & 1) << j for j, x in enumerate(bits))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_signature_matches_fraction_reference(family):
+    rng = random.Random(f"signature-{family}")
+    for _ in range(PER_FAMILY):
+        rows = instance(family, rng)
+        assert signature(rows) == fraction_signature(rows), rows
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_smith_mod2_matches_full_transform(family):
+    rng = random.Random(f"smith-{family}")
+    for _ in range(PER_FAMILY):
+        rows = instance(family, rng)
+        full = smith_normal_form(rows)
+        fast = smith_mod2(rows)
+        assert fast.invariant_factors == full.invariant_factors, rows
+        assert fast.u_mod2 == tuple(_mask(r) for r in full.u), rows
+
+
+def test_families_cover_the_special_cases():
+    rng = random.Random("coverage")
+    singular = hyperbolic = alpha2 = 0
+    for family in FAMILIES:
+        for _ in range(200):
+            rows = instance(family, rng)
+            factors = smith_normal_form(rows).invariant_factors
+            singular += 0 in factors
+            alpha2 += sum(1 for d in factors if d and d % 2 == 0) >= 2
+            hyperbolic += (len(rows) > 0 and not any(rows[i][i] for i in range(len(rows)))
+                           and any(map(any, rows)))
+    assert singular >= 100 and hyperbolic >= 100 and alpha2 >= 100
+
+
+def test_wu_map_matches_per_call_route():
+    rng = random.Random("wu")
+    checked = 0
+    for k in range(300):
+        rows = instance("even_torsion" if k % 3 else "singular", rng)
+        p = SurgeryPresentation("d", IntSymMatrix(rows))
+        spins = spin_structures(p)
+        base = spins[0]
+        h = homology_profile(p)
+        for s in rng.sample(spins, min(len(spins), 8)):
+            got = wu_coset_of_difference(p, s, base).value.coords
+            assert len(got) == h.alpha
+            assert got == per_call_wu_coords(p, s, base), rows
+            checked += h.alpha >= 2
+    assert checked >= 500
+
