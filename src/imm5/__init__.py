@@ -37,7 +37,6 @@ from .intlinalg import (
     Mod2Solution,
     SmithDecomposition,
     SmithMod2,
-    Z2Matrix,
     congruence,
     det_int,
     direct_sum,
@@ -107,7 +106,6 @@ __all__ = [
     "SurgeryPresentation",
     "WuCoset",
     "WuMismatch",
-    "Z2Matrix",
     "congruence",
     "connected_sum_act",
     "det_int",

@@ -26,13 +26,10 @@ from .embeddings import (
 )
 from .errors import (
     CosetUncovered,
-    HypothesisViolated,
     Imm5Error,
-    MissingData,
     ParityError,
     ParityViolation,
     ParseError,
-    WuMismatch,
 )
 from .fixtures import manifold_json
 from .intlinalg import IntSymMatrix
@@ -109,6 +106,12 @@ def _int(value, where: str) -> int:
     raise ParseError(f"{where}: expected an integer, got {value!r}")
 
 
+def _bool(value, where: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ParseError(f"{where}: expected true or false, got {value!r}")
+
+
 # ----------------------------------------------------------------------
 # ManifoldFile
 # ----------------------------------------------------------------------
@@ -179,6 +182,10 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
     """Load a manifold from an inline dict, a JSON path, or a fixture name."""
     if isinstance(ref, dict):
         return parse_manifold(ref)
+    if not isinstance(ref, str):
+        raise ParseError(
+            f"manifold reference must be a file name, a fixture name or an "
+            f"object, got {ref!r}")
     path = ref if base_dir is None else os.path.join(base_dir, ref)
     if os.path.exists(path):
         try:
@@ -188,7 +195,7 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
             raise ParseError(f"{ref}: not valid JSON ({exc})") from exc
         return parse_manifold(data)
     try:
-        return parse_manifold(manifold_json(str(ref)))
+        return parse_manifold(manifold_json(ref))
     except KeyError:
         raise ParseError(
             f"{ref!r} is neither an existing file nor a built-in fixture"
@@ -210,8 +217,15 @@ class SeifertData:
     partitions: list[tuple[str, PartitionRecord, bool]]
 
 
-def _record_id(record: dict, prefix: str, index: int) -> str:
-    return str(record.get("id", f"{prefix}[{index}]"))
+def _records(data: dict, key: str, prefix: str):
+    """Yield (id, record) for each record of the list data[key], if any."""
+    records = data.get(key, [])
+    if not isinstance(records, list):
+        raise ParseError(f"{key} must be a list of objects, got {records!r}")
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ParseError(f"{prefix}[{k}]: expected an object, got {rec!r}")
+        yield str(rec.get("id", f"{prefix}[{k}]")), rec
 
 
 def _opt_tuple(record: dict, key: str, where: str) -> tuple[int, ...] | None:
@@ -232,8 +246,7 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
         manifold = load_manifold(data["manifold"], base_dir)
 
     fillings_r5 = []
-    for k, rec in enumerate(data.get("fillings_r5", [])):
-        rid = _record_id(rec, "r5", k)
+    for rid, rec in _records(data, "fillings_r5", "r5"):
         try:
             fillings_r5.append((rid, SeifertFillingR5(
                 _int(rec["sigma"], rid),
@@ -244,8 +257,7 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
             raise ParseError(f"{rid}: {exc}") from exc
 
     fillings_r6 = []
-    for k, rec in enumerate(data.get("fillings_r6", [])):
-        rid = _record_id(rec, "r6", k)
+    for rid, rec in _records(data, "fillings_r6", "r6"):
         try:
             fillings_r6.append((rid, SeifertFillingR6(
                 _int(rec["sigma"], rid),
@@ -256,26 +268,26 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
             raise ParseError(f"{rid}: missing field {exc}") from exc
 
     double_data = None
-    if "double_data" in data and data["double_data"] is not None:
-        rec = data["double_data"]
+    rec = data.get("double_data")
+    if rec is not None:
+        if not (isinstance(rec, dict) and "big_l" in rec):
+            raise ParseError(f"double_data must be an object with big_l, got {rec!r}")
         double_data = ImmersionDoubleData(_int(rec["big_l"], "double_data"))
 
     closed_r5 = []
-    for k, rec in enumerate(data.get("closed_records_r5", [])):
-        rid = _record_id(rec, "closed_r5", k)
+    for rid, rec in _records(data, "closed_records_r5", "closed_r5"):
         try:
             closed_r5.append((rid, ClosedMapRecordR5(
                 _int(rec["sigma"], rid),
                 _int(rec["cusps_algebraic"], rid),
                 _opt_tuple(rec, "cusps_per_component", rid),
-                bool(rec.get("is_spin", False)),
+                _bool(rec.get("is_spin", False), f"{rid}.is_spin"),
             )))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{rid}: {exc}") from exc
 
     closed_r6 = []
-    for k, rec in enumerate(data.get("closed_records_r6", [])):
-        rid = _record_id(rec, "closed_r6", k)
+    for rid, rec in _records(data, "closed_records_r6", "closed_r6"):
         try:
             closed_r6.append((rid, ClosedMapRecordR6(
                 _int(rec["sigma"], rid),
@@ -286,16 +298,15 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
             raise ParseError(f"{rid}: missing field {exc}") from exc
 
     partitions = []
-    for k, rec in enumerate(data.get("partition_records", [])):
-        rid = _record_id(rec, "partition", k)
+    for rid, rec in _records(data, "partition_records", "partition"):
         cusps = rec.get("part_cusps")
         if not (isinstance(cusps, list) and len(cusps) == 2):
             raise ParseError(f"{rid}: part_cusps must be a pair")
-        applies = (bool(rec.get("ambient_spin", False))
-                   and bool(rec.get("separator_null_homologous", False))
-                   and bool(rec.get("separator_avoids_double_points", False)))
+        flags = [_bool(rec.get(flag, False), f"{rid}.{flag}")
+                 for flag in ("ambient_spin", "separator_null_homologous",
+                              "separator_avoids_double_points")]
         partitions.append((rid, PartitionRecord(
-            (_int(cusps[0], rid), _int(cusps[1], rid))), applies))
+            (_int(cusps[0], rid), _int(cusps[1], rid))), all(flags)))
 
     if (fillings_r5 or fillings_r6) and manifold is None:
         raise ParseError("record file with fillings needs a 'manifold' reference")
@@ -722,10 +733,6 @@ def main(argv=None) -> int:
     except ParityError as exc:
         print(f"ParityError: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, CosetUncovered, ParityViolation, WuMismatch,
-            MissingData, HypothesisViolated) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except Imm5Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

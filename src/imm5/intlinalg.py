@@ -2,12 +2,15 @@
 
 This module is the computational substrate for everything else: Smith
 normal form, fraction-free signatures of symmetric integer matrices
-and determinants, and GF(2) solving on bit matrices.  One Smith pivot
-loop serves two routines: ``smith_normal_form`` with both unimodular
-transforms, and ``smith_mod2`` with the invariant factors and the left
-transform mod 2 only, so no transform entry grows.  The signature is
-symmetric Bareiss elimination in integers.  All integer arithmetic is
-arbitrary precision and neither fractions nor floating point are used.
+and determinants, and GF(2) linear algebra on Python int bitmask rows.
+One Smith pivot loop serves two routines: ``smith_normal_form`` with
+both unimodular transforms, and ``smith_mod2`` with the invariant
+factors and the left transform mod 2 only, so no transform entry grows.
+The signature is symmetric Bareiss elimination in integers.  Over Z2 a
+matrix row is an int whose bit j holds column j, row addition is XOR,
+and one Gauss-Jordan loop serves both ``solve_mod2`` and
+``inverse_mod2``.  All integer arithmetic is arbitrary precision and
+neither fractions nor floating point are used.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import AsymmetricMatrix, NoSolution
 
@@ -329,26 +330,6 @@ def smith_mod2(a: IntSymMatrix | Rows) -> SmithMod2:
     return SmithMod2(factors, tuple(u.rows))
 
 
-def inverse_mod2(rows: Sequence[int], n: int) -> list[int]:
-    """Inverse over Z2 of an invertible n x n bit matrix given as row
-    bitmasks (bit j of ``rows[i]`` is entry (i, j)), as row bitmasks.
-
-    Raises NoSolution when the matrix is singular mod 2.
-    """
-    # Gauss-Jordan on [a | I]: the identity rides in bits n .. 2n-1
-    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
-    for c in range(n):
-        bit = 1 << c
-        piv = next((i for i in range(c, n) if aug[i] & bit), None)
-        if piv is None:
-            raise NoSolution("matrix is singular mod 2")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        for i in range(n):
-            if i != c and aug[i] & bit:
-                aug[i] ^= aug[c]
-    return [r >> n for r in aug]
-
-
 # ----------------------------------------------------------------------
 # Signature (fraction-free symmetric Bareiss elimination)
 # ----------------------------------------------------------------------
@@ -428,24 +409,52 @@ def signature(a: IntSymMatrix | Rows) -> int:
 
 
 # ----------------------------------------------------------------------
-# Z2 linear algebra on bit matrices
+# Z2 linear algebra on int bitmask rows
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Z2Matrix:
-    """A bit matrix; all arithmetic is mod 2."""
+def _mask(bits: Sequence[int]) -> int:
+    """A 0/1 (or any integer) vector as a bitmask: bit j is bits[j] mod 2."""
+    return sum((x & 1) << j for j, x in enumerate(bits))
 
-    rows: int
-    cols: int
-    entries: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows: Rows) -> "Z2Matrix":
-        rl = [[int(x) & 1 for x in row] for row in rows]
-        arr = np.array(rl, dtype=np.uint8)
-        if arr.ndim != 2:
-            arr = arr.reshape(len(rl), 0)
-        return cls(arr.shape[0], arr.shape[1], arr)
+def _gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:
+    """Reduce bitmask rows in place over Z2; return the pivot columns.
+
+    Columns 0 .. ncols-1 are eliminated; any higher bits ride along as
+    augmented columns.  Column c pivots on the first row at or below the
+    next pivot row with bit c set, swapped into place, so the result is
+    the reduced row echelon form with pivot rows first.
+    """
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        bit = 1 << c
+        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row & bit:
+                rows[i] = row ^ prow
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def inverse_mod2(rows: Sequence[int], n: int) -> list[int]:
+    """Inverse over Z2 of an invertible n x n bit matrix given as row
+    bitmasks (bit j of ``rows[i]`` is entry (i, j)), as row bitmasks.
+
+    Raises NoSolution when the matrix is singular mod 2.
+    """
+    # [a | I]: the identity rides in bits n .. 2n-1
+    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    if len(_gauss_jordan_mod2(aug, n)) < n:
+        raise NoSolution("matrix is singular mod 2")
+    return [r >> n for r in aug]
 
 
 @dataclass(frozen=True)
@@ -465,65 +474,46 @@ class Mod2Solution:
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
         """All solutions, starting from the particular one."""
-        base = np.array(self.particular, dtype=np.uint8)
-        basis = [np.array(k, dtype=np.uint8) for k in self.kernel]
+        n = len(self.particular)
+        base = _mask(self.particular)
+        basis = [_mask(k) for k in self.kernel]
         for picks in itertools.product((0, 1), repeat=len(basis)):
-            x = base.copy()
+            x = base
             for take, vec in zip(picks, basis):
                 if take:
                     x ^= vec
-            yield tuple(int(b) for b in x)
+            yield tuple((x >> j) & 1 for j in range(n))
 
 
-def solve_mod2(m: Z2Matrix | Rows, b: Sequence[int]) -> Mod2Solution:
+def solve_mod2(m: IntSymMatrix | Rows, b: Sequence[int]) -> Mod2Solution:
     """Solve m x = b over Z2 by Gauss-Jordan elimination.
 
-    Raises NoSolution when b is outside the column space.  Free
-    variables are set to 0 in the particular solution; the kernel basis
-    has one vector per free column.
+    Entries of m and b are read mod 2.  Raises NoSolution when b is
+    outside the column space.  Free variables are set to 0 in the
+    particular solution; the kernel basis has one vector per free
+    column.
     """
-    if isinstance(m, Z2Matrix):
-        A = m.entries.copy()
-    else:
-        A = Z2Matrix.from_rows(m).entries.copy()
-    nrows, ncols = A.shape
-    rhs = np.array([int(x) & 1 for x in b], dtype=np.uint8)
-    if rhs.shape[0] != nrows:
+    A, nrows, ncols = _as_rect(m)
+    rhs = [int(x) & 1 for x in b]
+    if len(rhs) != nrows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
+    # [m | b]: b rides in bit ncols
+    aug = [_mask(row) | (x << ncols) for row, x in zip(A, rhs)]
+    pivots = _gauss_jordan_mod2(aug, ncols)
+    if any(row >> ncols for row in aug[len(pivots):]):
+        raise NoSolution("right-hand side is outside the column space")
 
-    aug = np.concatenate([A, rhs[:, None]], axis=1) if ncols else rhs[:, None].copy()
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i, c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        for i in range(nrows):
-            if i != r and aug[i, c]:
-                aug[i, :] ^= aug[r, :]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-
-    for i in range(r, nrows):
-        if aug[i, ncols]:
-            raise NoSolution("right-hand side is outside the column space")
-
-    x = np.zeros(ncols, dtype=np.uint8)
-    for row, c in enumerate(pivots):
-        x[c] = aug[row, ncols]
-
+    x = [0] * ncols
+    for row, c in zip(aug, pivots):
+        x[c] = row >> ncols
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    kernel: list[tuple[int, ...]] = []
-    for f in free_cols:
-        vec = np.zeros(ncols, dtype=np.uint8)
+    kernel = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * ncols
         vec[f] = 1
-        for row, c in enumerate(pivots):
-            vec[c] = aug[row, f]
-        kernel.append(tuple(int(v) for v in vec))
-
-    return Mod2Solution(tuple(int(v) for v in x), tuple(kernel))
+        for row, c in zip(aug, pivots):
+            vec[c] = (row >> f) & 1
+        kernel.append(tuple(vec))
+    return Mod2Solution(tuple(x), tuple(kernel))

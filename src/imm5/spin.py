@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InvalidSpinStructure
-from .intlinalg import Z2Matrix, solve_mod2
+from .intlinalg import solve_mod2
 from .surgery import Gamma2Element, SurgeryPresentation
 
 
@@ -30,10 +30,6 @@ class WuCoset:
     """The class of a spin-structure difference in Gamma2 coordinates."""
 
     value: Gamma2Element
-
-
-def _q_mod2(p: SurgeryPresentation) -> Z2Matrix:
-    return Z2Matrix.from_rows(p.q.entries)
 
 
 def is_characteristic(p: SurgeryPresentation, s: SpinStructure) -> bool:
@@ -52,7 +48,7 @@ def spin_structures(p: SurgeryPresentation) -> list[SpinStructure]:
     2**(betti1 + alpha).
     """
     b = [d % 2 for d in p.q.diagonal()]
-    sol = solve_mod2(_q_mod2(p), b)
+    sol = solve_mod2(p.q.entries, b)
     return [SpinStructure(c) for c in sol.solutions()]
 
 

@@ -58,25 +58,23 @@ class HomologyProfile:
     torsion_factors  invariant factors of the torsion subgroup (each >= 2,
                      divisibility chain in Smith order)
     alpha            number of even torsion factors, i.e.
-                     dim_Z2 (torsion H1 (x) Z2)
-    gamma2_rank      rank of Gamma2(M) as a Z2 vector space (= alpha,
-                     so |Gamma2| = 2**alpha)
+                     dim_Z2 (torsion H1 (x) Z2), which is also the rank
+                     of Gamma2(M) as a Z2 vector space
     """
 
     betti1: int
     torsion_factors: tuple[int, ...]
     alpha: int
-    gamma2_rank: int
 
     def __post_init__(self) -> None:
         expected = sum(1 for d in self.torsion_factors if d % 2 == 0)
-        if self.alpha != expected or self.gamma2_rank != self.alpha:
+        if self.alpha != expected:
             raise ValueError("alpha must count the even torsion factors")
 
     @classmethod
     def derive(cls, betti1: int, torsion_factors: tuple[int, ...]) -> "HomologyProfile":
         alpha = sum(1 for d in torsion_factors if d % 2 == 0)
-        return cls(betti1, tuple(torsion_factors), alpha, alpha)
+        return cls(betti1, tuple(torsion_factors), alpha)
 
     @property
     def gamma2_order(self) -> int:

@@ -104,12 +104,6 @@ def check_partition_divisibility(p: PartitionRecord) -> bool:
     return all(c % 6 == 0 for c in p.part_cusps)
 
 
-def check_equal_signatures_if_reg_homotopic(s1: int, s2: int) -> bool:
-    """Necessary condition on datasets: regularly homotopic embeddings
-    have Seifert surfaces of equal signature."""
-    return s1 == s2
-
-
 # ----------------------------------------------------------------------
 # Independent oracles
 # ----------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Command-line interface, file formats and report round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imm5
 from imm5.cli import (
     analyze_report,
     embeddings_report,
@@ -283,6 +288,26 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             load_records(path)
 
+    @pytest.mark.parametrize("payload", [
+        {"fillings_r5": [5]},
+        {"partition_records": ["a"]},
+        {"fillings_r5": 3},
+        {"double_data": {}},
+        {"double_data": 3},
+        {"manifold": 5},
+        {"closed_records_r5": [
+            {"sigma": -1, "cusps_algebraic": 3, "is_spin": "false"}]},
+        {"partition_records": [
+            {"part_cusps": [6, -6], "separator_avoids_double_points": 1}]},
+    ], ids=["r5-record-not-object", "partition-record-not-object",
+            "r5-not-list", "double-data-without-big-l", "double-data-not-object",
+            "manifold-not-reference", "is-spin-string", "partition-flag-int"])
+    def test_malformed_records_exit_2(self, capsys, tmp_path, payload):
+        code, out, err = run(capsys, "verify", write_json(tmp_path, "r.json", payload))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ParseError: ") and err.count("\n") == 1
+
 
 class TestJsonRoundTrip:
     def test_big_integers_survive(self):
@@ -316,3 +341,11 @@ class TestJsonRoundTrip:
         data = json.loads(out)
         assert data["alpha"] == 0
         assert data["spin_structures"] == 8
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import imm5.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True)

@@ -5,31 +5,36 @@ The reference signature is the former ``Fraction`` congruence routine,
 kept here verbatim.  The mod-2 Smith routine is checked against the full
 ``smith_normal_form`` (factors and u reduced mod 2), and the Wu map read
 off the cached Gamma2 generators against the former per-call route (a
-Smith form and a GF(2) solve of u^T c = delta on every call).
+Smith form and a GF(2) solve of u^T c = delta on every call).  The
+bitmask ``solve_mod2`` is checked against the former numpy ``uint8``
+routine, kept here verbatim; those tests skip when numpy is absent.
 
 Four seeded families of 2,500 matrices each cover general, singular,
 zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
 """
 
 import random
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from imm5.errors import NoSolution
 from imm5.intlinalg import (
     IntSymMatrix,
-    Z2Matrix,
+    Mod2Solution,
     _as_row_lists,
     signature,
     smith_mod2,
     smith_normal_form,
     solve_mod2,
 )
-from imm5.spin import spin_structures, wu_coset_of_difference
+from imm5.spin import SpinStructure, spin_structures, wu_coset_of_difference
 from imm5.surgery import SurgeryPresentation, even_torsion_positions, homology_profile
 
 PER_FAMILY = 2500
 FAMILIES = ("general", "singular", "zero_diagonal", "even_torsion")
+SYSTEMS = 12000
 
 
 def fraction_signature(a) -> int:
@@ -79,12 +84,82 @@ def fraction_signature(a) -> int:
     return pos - neg
 
 
+def numpy_solve_mod2(m, b) -> Mod2Solution:
+    """Solve m x = b over Z2 by Gauss-Jordan elimination.
+
+    The former numpy routine, with ``Z2Matrix.from_rows`` inlined.
+    Raises NoSolution when b is outside the column space.  Free
+    variables are set to 0 in the particular solution; the kernel basis
+    has one vector per free column.
+    """
+    np = pytest.importorskip("numpy")
+    rl = [[int(x) & 1 for x in row] for row in m]
+    A = np.array(rl, dtype=np.uint8)
+    if A.ndim != 2:
+        A = A.reshape(len(rl), 0)
+    nrows, ncols = A.shape
+    rhs = np.array([int(x) & 1 for x in b], dtype=np.uint8)
+    if rhs.shape[0] != nrows:
+        raise ValueError("dimension mismatch between matrix and right-hand side")
+
+    aug = np.concatenate([A, rhs[:, None]], axis=1) if ncols else rhs[:, None].copy()
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if aug[i, c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            aug[[r, pivot]] = aug[[pivot, r]]
+        for i in range(nrows):
+            if i != r and aug[i, c]:
+                aug[i, :] ^= aug[r, :]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+
+    for i in range(r, nrows):
+        if aug[i, ncols]:
+            raise NoSolution("right-hand side is outside the column space")
+
+    x = np.zeros(ncols, dtype=np.uint8)
+    for row, c in enumerate(pivots):
+        x[c] = aug[row, ncols]
+
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    kernel: list[tuple[int, ...]] = []
+    for f in free_cols:
+        vec = np.zeros(ncols, dtype=np.uint8)
+        vec[f] = 1
+        for row, c in enumerate(pivots):
+            vec[c] = aug[row, f]
+        kernel.append(tuple(int(v) for v in vec))
+
+    return Mod2Solution(tuple(int(v) for v in x), tuple(kernel))
+
+
+def numpy_solutions(sol: Mod2Solution):
+    """The former numpy ``Mod2Solution.solutions``: all solutions,
+    starting from the particular one."""
+    np = pytest.importorskip("numpy")
+    base = np.array(sol.particular, dtype=np.uint8)
+    basis = [np.array(k, dtype=np.uint8) for k in sol.kernel]
+    for picks in itertools.product((0, 1), repeat=len(basis)):
+        x = base.copy()
+        for take, vec in zip(picks, basis):
+            if take:
+                x ^= vec
+        yield tuple(int(b) for b in x)
+
+
 def per_call_wu_coords(p: SurgeryPresentation, s1, s2) -> tuple[int, ...]:
     """The former Wu route: Smith form and GF(2) solve on every call."""
     delta = [a ^ b for a, b in zip(s1.c, s2.c)]
     dec = smith_normal_form(p.q)
     ut = [[dec.u[j][i] for j in range(p.n)] for i in range(p.n)]
-    sol = solve_mod2(Z2Matrix.from_rows(ut), delta)
+    sol = solve_mod2(ut, delta)
     assert not sol.kernel
     return tuple(sol.particular[i]
                  for i in even_torsion_positions(dec.invariant_factors))
@@ -196,3 +271,61 @@ def test_wu_map_matches_per_call_route():
             checked += h.alpha >= 2
     assert checked >= 500
 
+
+
+def z2_system(rng: random.Random):
+    """A seeded Z2 system m x = b: any shape (the empty one included),
+    often rank-deficient, with entries outside {0, 1} read mod 2, and b
+    either in the column space or random."""
+    nrows = rng.randint(0, 8)
+    ncols = rng.randint(0, 8) if nrows else 0
+    if rng.random() < 0.5:
+        rows = [[rng.choice((0, 0, 1, 1, -1, 2, 3)) for _ in range(ncols)]
+                for _ in range(nrows)]
+    else:
+        # a product through a narrow middle dimension caps the rank
+        k = rng.randint(0, max(min(nrows, ncols) - 1, 0))
+        left = [[rng.randint(0, 1) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(k))
+                 for j in range(ncols)] for i in range(nrows)]
+    if rng.random() < 0.5:
+        x0 = [rng.randint(0, 1) for _ in range(ncols)]
+        b = [sum(u * v for u, v in zip(row, x0)) for row in rows]
+    else:
+        b = [rng.choice((0, 1, -1, 2)) for _ in range(nrows)]
+    return rows, b
+
+
+def test_solve_mod2_matches_numpy_reference():
+    rng = random.Random("solve-mod2")
+    rect = empty = deficient = inconsistent = 0
+    for _ in range(SYSTEMS):
+        rows, b = z2_system(rng)
+        try:
+            want = numpy_solve_mod2(rows, b)
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                solve_mod2(rows, b)
+            inconsistent += 1
+            continue
+        got = solve_mod2(rows, b)
+        assert got.particular == want.particular, (rows, b)
+        assert got.kernel == want.kernel, (rows, b)
+        assert list(got.solutions()) == list(numpy_solutions(want)), (rows, b)
+        ncols = len(want.particular)
+        rect += len(rows) != ncols
+        empty += not rows
+        deficient += ncols - len(want.kernel) < min(len(rows), ncols)
+    assert min(rect, deficient, inconsistent) >= 1000 and empty >= 100
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spin_structures_match_numpy_reference(family):
+    rng = random.Random(f"spin-{family}")
+    for _ in range(PER_FAMILY // 5):
+        p = SurgeryPresentation("d", IntSymMatrix(instance(family, rng)))
+        b = [d % 2 for d in p.q.diagonal()]
+        want = [SpinStructure(c)
+                for c in numpy_solutions(numpy_solve_mod2(p.q.entries, b))]
+        assert spin_structures(p) == want, p.q

@@ -40,7 +40,6 @@ class TestHomologyProfile:
     def test_profiles(self, rows, betti1, torsion, alpha):
         h = homology_profile(_pres(rows))
         assert (h.betti1, h.torsion_factors, h.alpha) == (betti1, torsion, alpha)
-        assert h.gamma2_rank == alpha
         assert h.gamma2_order == 2 ** alpha
 
     def test_torus_has_trivial_gamma2(self):
@@ -49,7 +48,7 @@ class TestHomologyProfile:
 
     def test_derive_validates_alpha(self):
         with pytest.raises(ValueError):
-            HomologyProfile(0, (2,), 0, 0)
+            HomologyProfile(0, (2,), 0)
 
     def test_stability_under_blowup_and_congruence(self):
         rng = random.Random(31)

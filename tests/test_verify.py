@@ -13,7 +13,6 @@ from imm5.verify import (
     check_closed_r5,
     check_closed_r6,
     check_cusp_residue,
-    check_equal_signatures_if_reg_homotopic,
     check_partition_divisibility,
     check_spin_even_components,
     hughes_melvin_sweep,
@@ -66,11 +65,6 @@ class TestClosedIdentities:
         assert check_partition_divisibility(PartitionRecord((6, -6)))
         assert check_partition_divisibility(PartitionRecord((0, 0)))
         assert not check_partition_divisibility(PartitionRecord((3, -3)))
-
-    def test_equal_signatures(self):
-        assert check_equal_signatures_if_reg_homotopic(8, 8)
-        assert not check_equal_signatures_if_reg_homotopic(0, 8)
-        assert check_equal_signatures_if_reg_homotopic(-16, -16)
 
 
 class TestIndependentOracles:
