@@ -178,6 +178,20 @@ def parse_manifold(data: dict) -> ManifoldData:
     return ManifoldData(pres, profile, signatures)
 
 
+def _read_json(path: str, label: str):
+    """The JSON value in the file at path; a ParseError naming label when
+    the file cannot be read or is not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{label}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{label}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ParseError(f"{label}: cannot read ({exc.strerror})") from exc
+
+
 def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
     """Load a manifold from an inline dict, a JSON path, or a fixture name."""
     if isinstance(ref, dict):
@@ -187,13 +201,8 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
             f"manifold reference must be a file name, a fixture name or an "
             f"object, got {ref!r}")
     path = ref if base_dir is None else os.path.join(base_dir, ref)
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{ref}: not valid JSON ({exc})") from exc
-        return parse_manifold(data)
+    if os.path.isfile(path):
+        return parse_manifold(_read_json(path, ref))
     try:
         return parse_manifold(manifold_json(ref))
     except KeyError:
@@ -316,15 +325,10 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
 
 
 def load_records(path: str) -> SeifertData:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ParseError(f"{path!r}: no such file")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     base_dir = os.path.dirname(os.path.abspath(path))
-    return parse_seifert_file(data, base_dir)
+    return parse_seifert_file(_read_json(path, path), base_dir)
 
 
 # ----------------------------------------------------------------------

@@ -9,14 +9,18 @@ factors and the left transform mod 2 only, so no transform entry grows.
 The signature is symmetric Bareiss elimination in integers.  Over Z2 a
 matrix row is an int whose bit j holds column j, row addition is XOR,
 and one Gauss-Jordan loop serves both ``solve_mod2`` and
-``inverse_mod2``.  All integer arithmetic is arbitrary precision and
-neither fractions nor floating point are used.
+``inverse_mod2``.  A solution set is streamed as bitmasks
+(``Mod2Solution.masks``) and unpacked to 0/1 tuples through a byte table
+only where a caller asks for tuples.  All integer arithmetic is
+arbitrary precision and neither fractions nor floating point are used.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Iterator, Sequence
 
 from .errors import AsymmetricMatrix, NoSolution
@@ -412,6 +416,13 @@ def signature(a: IntSymMatrix | Rows) -> int:
 # Z2 linear algebra on int bitmask rows
 # ----------------------------------------------------------------------
 
+# kernel vectors whose combinations Mod2Solution.masks tabulates
+_TAIL = 8
+
+# _BYTE_BITS[b] is the byte b as 8 bits, least significant first
+_BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
+
+
 def _mask(bits: Sequence[int]) -> int:
     """A 0/1 (or any integer) vector as a bitmask: bit j is bits[j] mod 2."""
     return sum((x & 1) << j for j, x in enumerate(bits))
@@ -472,17 +483,34 @@ class Mod2Solution:
     def count(self) -> int:
         return 2 ** len(self.kernel)
 
-    def solutions(self) -> Iterator[tuple[int, ...]]:
-        """All solutions, starting from the particular one."""
-        n = len(self.particular)
-        base = _mask(self.particular)
+    def masks(self) -> Iterator[int]:
+        """All solutions as bitmasks (bit j holds x_j), in
+        ``itertools.product`` order over the kernel basis: the particular
+        solution first, the first kernel vector varying slowest.
+
+        Streamed: the combinations of the last ``_TAIL`` kernel vectors
+        are tabulated once, and each prefix combination of the others
+        walks that table, so at most ``2 ** _TAIL`` masks are held.
+        """
         basis = [_mask(k) for k in self.kernel]
-        for picks in itertools.product((0, 1), repeat=len(basis)):
-            x = base
-            for take, vec in zip(picks, basis):
-                if take:
-                    x ^= vec
-            yield tuple((x >> j) & 1 for j in range(n))
+        cut = max(len(basis) - _TAIL, 0)
+        table = [0]
+        for vec in basis[cut:]:
+            table = [x for t in table for x in (t, t ^ vec)]
+        base = _mask(self.particular)
+        for picks in itertools.product((0, 1), repeat=cut):
+            head = reduce(xor, itertools.compress(basis, picks), base)
+            yield from map(head.__xor__, table)
+
+    def solutions(self) -> Iterator[tuple[int, ...]]:
+        """All solutions as 0/1 tuples, in the order of ``masks``."""
+        n = len(self.particular)
+        nbytes = -(-n // 8)
+        for x in self.masks():
+            bits: tuple[int, ...] = ()
+            for byte in x.to_bytes(nbytes, "little"):
+                bits += _BYTE_BITS[byte]
+            yield bits[:n]
 
 
 def solve_mod2(m: IntSymMatrix | Rows, b: Sequence[int]) -> Mod2Solution:

@@ -6,12 +6,18 @@ H^1(M; Z2) as a torsor; the quotient map onto
 H^1(M; Z2) / rho(H^1(M; Z)) = Gamma2(M) is computed on differences of
 two spin structures by evaluating them on the Gamma2 generators, the
 columns of u^{-1} mod 2 that the presentation computes once and keeps.
+
+Spin vectors are int bitmasks (bit j is c_j mod 2) everywhere inside:
+the affine solution space is streamed as masks and each mask is unpacked
+to a ``SpinStructure`` tuple once.  The characteristic test XORs the
+rows of q mod 2 that the presentation caches at the set bits of c and
+compares the result with the cached diagonal mask; it yields the mask of
+c, and a difference of two spin structures is the XOR of their masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import InvalidSpinStructure
 from .intlinalg import solve_mod2
@@ -32,12 +38,27 @@ class WuCoset:
     value: Gamma2Element
 
 
+def _characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
+    """s.c as a bitmask (bit j is c_j mod 2) if s is characteristic for p,
+    else None.
+
+    q is symmetric, so q c mod 2 is the XOR of the rows of q mod 2 at the
+    set bits of c; s is characteristic when that equals the diagonal.
+    """
+    if len(s.c) != p.n:
+        return None
+    rows, diagonal = p.q_mod2
+    x = acc = 0
+    for j, (bit, row) in enumerate(zip(s.c, rows)):
+        if bit & 1:
+            x |= 1 << j
+            acc ^= row
+    return x if acc == diagonal else None
+
+
 def is_characteristic(p: SurgeryPresentation, s: SpinStructure) -> bool:
     """Whether s solves the characteristic-sublink equation for p."""
-    if len(s.c) != p.n:
-        return False
-    return all((sum(map(mul, row, s.c)) - row[i]) % 2 == 0
-               for i, row in enumerate(p.q.entries))
+    return _characteristic_mask(p, s) is not None
 
 
 def spin_structures(p: SurgeryPresentation) -> list[SpinStructure]:
@@ -49,7 +70,7 @@ def spin_structures(p: SurgeryPresentation) -> list[SpinStructure]:
     """
     b = [d % 2 for d in p.q.diagonal()]
     sol = solve_mod2(p.q.entries, b)
-    return [SpinStructure(c) for c in sol.solutions()]
+    return list(map(SpinStructure, sol.solutions()))
 
 
 def wu_coset_of_difference(
@@ -64,11 +85,13 @@ def wu_coset_of_difference(
     parity of delta against the cached bitmask of g_i mod 2.  The
     resulting map is onto Gamma2 with fibres of size 2**betti1.
     """
+    delta = 0
     for s in (s1, s2):
-        if not is_characteristic(p, s):
+        x = _characteristic_mask(p, s)
+        if x is None:
             raise InvalidSpinStructure(
                 f"vector {s.c} fails the characteristic equation for {p.name!r}"
             )
-    delta = sum((a ^ b) << j for j, (a, b) in enumerate(zip(s1.c, s2.c)))
+        delta ^= x
     coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
     return WuCoset(Gamma2Element(coords))

@@ -11,6 +11,8 @@ Each presentation runs the Smith elimination once, lazily, and keeps
 only what its readers need: the invariant factors and the left
 transform u mod 2 (``SurgeryPresentation.smith``), and from them the
 Gamma2 generators as bitmasks (``SurgeryPresentation.gamma2_generators``).
+It also keeps q mod 2 as row bitmasks and a diagonal mask
+(``SurgeryPresentation.q_mod2``) for the characteristic-sublink test.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intlinalg import IntSymMatrix, SmithMod2, inverse_mod2, signature, smith_mod2
+from .intlinalg import (
+    IntSymMatrix, SmithMod2, _mask, inverse_mod2, signature, smith_mod2,
+)
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,13 @@ class SurgeryPresentation:
         """Invariant factors of q and u mod 2, with u q v = s its Smith
         form; computed on first use and kept with the presentation."""
         return smith_mod2(self.q)
+
+    @cached_property
+    def q_mod2(self) -> tuple[tuple[int, ...], int]:
+        """q mod 2 as row bitmasks (bit j of row i is q_ij mod 2), and its
+        diagonal as one bitmask (bit i is q_ii mod 2); kept with the
+        presentation."""
+        return tuple(map(_mask, self.q.entries)), _mask(self.q.diagonal())
 
     @cached_property
     def gamma2_generators(self) -> tuple[int, ...]:

@@ -308,6 +308,24 @@ class TestFileFormats:
         assert out == ""
         assert err.startswith("ParseError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, case", [
+        ("analyze", "directory"), ("analyze", "not-utf8"),
+        ("verify", "directory"), ("verify", "not-utf8"),
+        ("verify", "empty-manifold"), ("verify", "manifold-not-utf8"),
+    ])
+    def test_unreadable_files_exit_2(self, capsys, tmp_path, command, case):
+        (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"linking_matrix": [[0]]}')
+        path = {
+            "directory": str(tmp_path),
+            "not-utf8": str(tmp_path / "bad.json"),
+            "empty-manifold": write_json(tmp_path, "r.json", {"manifold": ""}),
+            "manifold-not-utf8": write_json(tmp_path, "r.json", {"manifold": "bad.json"}),
+        }[case]
+        code, out, err = run(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ParseError: ") and err.count("\n") == 1
+
 
 class TestJsonRoundTrip:
     def test_big_integers_survive(self):

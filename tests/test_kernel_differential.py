@@ -8,6 +8,9 @@ off the cached Gamma2 generators against the former per-call route (a
 Smith form and a GF(2) solve of u^T c = delta on every call).  The
 bitmask ``solve_mod2`` is checked against the former numpy ``uint8``
 routine, kept here verbatim; those tests skip when numpy is absent.
+The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration,
+the characteristic test on the cached q mod 2, and the Wu map on XORed
+masks) is checked against the former tuple routines, kept here verbatim.
 
 Four seeded families of 2,500 matrices each cover general, singular,
 zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
@@ -16,11 +19,13 @@ zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
 import random
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from imm5.errors import NoSolution
+from imm5.errors import InvalidSpinStructure, NoSolution
 from imm5.intlinalg import (
+    _TAIL,
     IntSymMatrix,
     Mod2Solution,
     _as_row_lists,
@@ -29,12 +34,24 @@ from imm5.intlinalg import (
     smith_normal_form,
     solve_mod2,
 )
-from imm5.spin import SpinStructure, spin_structures, wu_coset_of_difference
-from imm5.surgery import SurgeryPresentation, even_torsion_positions, homology_profile
+from imm5.spin import (
+    SpinStructure,
+    WuCoset,
+    is_characteristic,
+    spin_structures,
+    wu_coset_of_difference,
+)
+from imm5.surgery import (
+    Gamma2Element,
+    SurgeryPresentation,
+    even_torsion_positions,
+    homology_profile,
+)
 
 PER_FAMILY = 2500
 FAMILIES = ("general", "singular", "zero_diagonal", "even_torsion")
 SYSTEMS = 12000
+SPIN_CASES = 10000
 
 
 def fraction_signature(a) -> int:
@@ -329,3 +346,112 @@ def test_spin_structures_match_numpy_reference(family):
         want = [SpinStructure(c)
                 for c in numpy_solutions(numpy_solve_mod2(p.q.entries, b))]
         assert spin_structures(p) == want, p.q
+
+
+def tuple_solutions(self):
+    """The former tuple ``Mod2Solution.solutions``: all solutions,
+    starting from the particular one."""
+    n = len(self.particular)
+    base = _mask(self.particular)
+    basis = [_mask(k) for k in self.kernel]
+    for picks in itertools.product((0, 1), repeat=len(basis)):
+        x = base
+        for take, vec in zip(picks, basis):
+            if take:
+                x ^= vec
+        yield tuple((x >> j) & 1 for j in range(n))
+
+
+def sum_is_characteristic(p, s) -> bool:
+    """The former ``is_characteristic``: whether s solves the
+    characteristic-sublink equation for p."""
+    if len(s.c) != p.n:
+        return False
+    return all((sum(map(mul, row, s.c)) - row[i]) % 2 == 0
+               for i, row in enumerate(p.q.entries))
+
+
+def tuple_wu_coset_of_difference(p, s1, s2):
+    """The former ``wu_coset_of_difference``, on the former predicate."""
+    for s in (s1, s2):
+        if not sum_is_characteristic(p, s):
+            raise InvalidSpinStructure(
+                f"vector {s.c} fails the characteristic equation for {p.name!r}"
+            )
+    delta = sum((a ^ b) << j for j, (a, b) in enumerate(zip(s1.c, s2.c)))
+    coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
+    return WuCoset(Gamma2Element(coords))
+
+
+def test_enumeration_matches_tuple_reference():
+    """Order and content of the streamed enumeration, for kernels on both
+    sides of the tabulated tail, with entries read mod 2."""
+    rng = random.Random("enumerate")
+    empty = streamed = 0
+    for k in range(SPIN_CASES):
+        if k % 40:
+            n = rng.randint(0, 12)
+            dim = rng.randint(0, min(n, 5))
+        else:
+            # more kernel vectors than the tabulated tail
+            n = rng.randint(_TAIL + 3, 12)
+            dim = rng.randint(_TAIL + 1, _TAIL + 3)
+        entries = (0, 1) if rng.random() < 0.8 else (0, 1, -1, 2, 3)
+        sol = Mod2Solution(tuple(rng.choice(entries) for _ in range(n)),
+                           tuple(tuple(rng.choice(entries) for _ in range(n))
+                                 for _ in range(dim)))
+        want = list(tuple_solutions(sol))
+        assert list(sol.solutions()) == want, sol
+        assert list(sol.masks()) == [_mask(x) for x in want], sol
+        empty += not dim
+        streamed += dim > _TAIL
+    assert empty >= 100 and streamed >= 100
+
+
+def spin_probe(rng, p, spins):
+    """A vector to test against p: a spin structure, a random 0/1 vector,
+    one of the wrong length, or one with entries outside {0, 1}."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(spins)
+    if kind == 1:
+        return SpinStructure(tuple(rng.randint(0, 1) for _ in range(p.n)))
+    if kind == 2:
+        wrong = p.n + 1 if p.n == 0 or rng.random() < 0.5 else p.n - 1
+        return SpinStructure(tuple(rng.randint(0, 1) for _ in range(wrong)))
+    # a spin structure or a random vector, shifted by even amounts
+    base = rng.choice(spins).c if rng.random() < 0.5 else \
+        tuple(rng.randint(0, 1) for _ in range(p.n))
+    return SpinStructure(tuple(x + rng.choice((0, 2, -2, 4)) for x in base))
+
+
+def test_spin_predicate_and_wu_match_tuple_reference():
+    """The bitmask predicate and Wu map against the former tuple
+    routines.  With entries outside {0, 1} the former delta shifted
+    a ^ b unmasked; the new one reads c mod 2, so there the reference is
+    run on the vectors reduced mod 2."""
+    rng = random.Random("spin-path")
+    noncharacteristic = nonbit = wu_rejected = wu_mapped = 0
+    for k in range(SPIN_CASES // 10):
+        p = SurgeryPresentation("d", IntSymMatrix(instance(FAMILIES[k % 4], rng)))
+        spins = spin_structures(p)
+        for _ in range(10):
+            s1, s2 = spin_probe(rng, p, spins), spin_probe(rng, p, spins)
+            ok = is_characteristic(p, s1)
+            assert ok == sum_is_characteristic(p, s1), (p.q, s1)
+            noncharacteristic += not ok
+            bits = [SpinStructure(tuple(x & 1 for x in s.c)) for s in (s1, s2)]
+            nonbit += bits != [s1, s2]
+            try:
+                want = tuple_wu_coset_of_difference(p, *bits)
+            except InvalidSpinStructure as exc:
+                with pytest.raises(InvalidSpinStructure) as got:
+                    wu_coset_of_difference(p, s1, s2)
+                if bits == [s1, s2]:
+                    assert str(got.value) == str(exc)
+                wu_rejected += 1
+                continue
+            assert wu_coset_of_difference(p, s1, s2) == want, (p.q, s1, s2)
+            wu_mapped += 1
+    assert noncharacteristic >= 1000 and nonbit >= 1000
+    assert wu_rejected >= 1000 and wu_mapped >= 1000
