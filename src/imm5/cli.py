@@ -4,9 +4,17 @@ Subcommands: ``analyze``, ``invariant``, ``act``, ``embeddings`` and
 ``verify``.  Manifolds enter as JSON files (or built-in fixture names)
 holding a linking matrix and, optionally, base signatures of spin
 fillings per Wu coset; Seifert bookkeeping enters as JSON record files.
-Integers larger than 53 bits are interchanged as exact decimal strings.
 
-Exit codes: 0 all checks pass, 1 an identity fails, 2 malformed input.
+A record file holds one list per record kind (``RECORD_KINDS``) and an
+optional ``double_data`` object.  ``_record`` reads each record from the
+fields of its dataclass: a field without a default is required, an
+absent one takes its default, and a present value goes through the
+reader for the field's declared type.  Errors name ``<id>.<field>``.
+Integers may be written as decimal strings of any length and stay
+exact; those larger than 53 bits are written back as decimal strings.
+
+Exit codes: 0 all checks pass, 1 an identity fails, 2 malformed input
+(one ``ParseError: ...`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from math import gcd
 
 from .embeddings import (
@@ -102,7 +110,10 @@ def _int(value, where: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _INT_RE.match(value.strip()):
-        return int(value.strip())
+        try:
+            return int(value.strip())
+        except ValueError as exc:  # past the interpreter's int/str digit limit
+            raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: expected an integer, got {value!r}")
 
 
@@ -110,6 +121,45 @@ def _bool(value, where: str) -> bool:
     if isinstance(value, bool):
         return value
     raise ParseError(f"{where}: expected true or false, got {value!r}")
+
+
+def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, of the given length if one is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise ParseError(f"{where}: expected a list of {count}integers, got {value!r}")
+    return tuple(_int(v, where) for v in value)
+
+
+# The reader for each field type declared on the record dataclasses; only
+# an optional field accepts null.
+_READERS = {
+    "int": _int,
+    "bool": _bool,
+    "tuple[int, int]": lambda value, where: _ints(value, where, 2),
+    "tuple[int, ...] | None":
+        lambda value, where: None if value is None else _ints(value, where),
+}
+
+
+def _record(obj, rid: str, cls):
+    """The record dataclass cls read from the JSON object obj.
+
+    A field without a default is required and an absent one takes its
+    default; each present value is read by the field's declared type.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{rid}: expected an object, got {obj!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = _READERS[f.type](obj[f.name], f"{rid}.{f.name}")
+        elif f.default is MISSING:
+            raise ParseError(f"{rid}: missing field '{f.name}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ParseError(f"{rid}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +198,7 @@ def parse_manifold(data: dict) -> ManifoldData:
     matrix = data.get("linking_matrix")
     if not isinstance(matrix, list):
         raise ParseError("manifold file needs a 'linking_matrix' list of rows")
-    rows = []
-    for r, row in enumerate(matrix):
-        if not isinstance(row, list):
-            raise ParseError(f"linking_matrix row {r} is not a list")
-        rows.append([_int(x, f"linking_matrix[{r}]") for x in row])
+    rows = [_ints(row, f"linking_matrix[{r}]") for r, row in enumerate(matrix)]
     pres = SurgeryPresentation(name, IntSymMatrix(rows))
     profile = homology_profile(pres)
 
@@ -164,9 +210,7 @@ def parse_manifold(data: dict) -> ManifoldData:
         per_coset: dict[Gamma2Element, frozenset[int]] = {}
         for key, values in block.items():
             coset = parse_wu_coords(key, profile.alpha)
-            if not isinstance(values, list):
-                raise ParseError(f"signatures for coset {key!r} must be a list")
-            sigs = frozenset(_int(v, f"signature for coset {key!r}") for v in values)
+            sigs = frozenset(_ints(values, f"signatures for coset {key!r}"))
             for s0 in sigs:
                 if (s0 - profile.alpha) % 2:
                     raise ParityViolation(
@@ -184,10 +228,8 @@ def _read_json(path: str, label: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
         raise ParseError(f"{label}: not valid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{label}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise ParseError(f"{label}: cannot read ({exc.strerror})") from exc
 
@@ -218,32 +260,23 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
 @dataclass
 class SeifertData:
     manifold: ManifoldData | None
+    double_data: ImmersionDoubleData | None
     fillings_r5: list[tuple[str, SeifertFillingR5]]
     fillings_r6: list[tuple[str, SeifertFillingR6]]
-    double_data: ImmersionDoubleData | None
-    closed_r5: list[tuple[str, ClosedMapRecordR5]]
-    closed_r6: list[tuple[str, ClosedMapRecordR6]]
-    partitions: list[tuple[str, PartitionRecord, bool]]
+    closed_records_r5: list[tuple[str, ClosedMapRecordR5]]
+    closed_records_r6: list[tuple[str, ClosedMapRecordR6]]
+    partition_records: list[tuple[str, PartitionRecord]]
 
 
-def _records(data: dict, key: str, prefix: str):
-    """Yield (id, record) for each record of the list data[key], if any."""
-    records = data.get(key, [])
-    if not isinstance(records, list):
-        raise ParseError(f"{key} must be a list of objects, got {records!r}")
-    for k, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ParseError(f"{prefix}[{k}]: expected an object, got {rec!r}")
-        yield str(rec.get("id", f"{prefix}[{k}]")), rec
-
-
-def _opt_tuple(record: dict, key: str, where: str) -> tuple[int, ...] | None:
-    if key not in record or record[key] is None:
-        return None
-    values = record[key]
-    if not isinstance(values, list):
-        raise ParseError(f"{where}: {key} must be a list")
-    return tuple(_int(v, f"{where}.{key}") for v in values)
+# Record-file key -> (id prefix of an unnamed record, record type); the file
+# key is also the SeifertData field holding that kind's (id, record) pairs.
+RECORD_KINDS = {
+    "fillings_r5": ("r5", SeifertFillingR5),
+    "fillings_r6": ("r6", SeifertFillingR6),
+    "closed_records_r5": ("closed_r5", ClosedMapRecordR5),
+    "closed_records_r6": ("closed_r6", ClosedMapRecordR6),
+    "partition_records": ("partition", PartitionRecord),
+}
 
 
 def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
@@ -254,74 +287,26 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
     if "manifold" in data:
         manifold = load_manifold(data["manifold"], base_dir)
 
-    fillings_r5 = []
-    for rid, rec in _records(data, "fillings_r5", "r5"):
-        try:
-            fillings_r5.append((rid, SeifertFillingR5(
-                _int(rec["sigma"], rid),
-                _int(rec["cusps_algebraic"], rid),
-                _opt_tuple(rec, "cusps_per_component", rid),
-            )))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"{rid}: {exc}") from exc
+    records = {}
+    for key, (prefix, cls) in RECORD_KINDS.items():
+        objs = data.get(key, [])
+        if not isinstance(objs, list):
+            raise ParseError(f"{key} must be a list of objects, got {objs!r}")
+        records[key] = []
+        for k, obj in enumerate(objs):
+            rid = f"{prefix}[{k}]"
+            if isinstance(obj, dict) and "id" in obj:
+                rid = str(obj["id"])
+            records[key].append((rid, _record(obj, rid, cls)))
 
-    fillings_r6 = []
-    for rid, rec in _records(data, "fillings_r6", "r6"):
-        try:
-            fillings_r6.append((rid, SeifertFillingR6(
-                _int(rec["sigma"], rid),
-                _int(rec["triple_points"], rid),
-                _int(rec["singular_linking"], rid),
-            )))
-        except KeyError as exc:
-            raise ParseError(f"{rid}: missing field {exc}") from exc
+    double_data = data.get("double_data")
+    if double_data is not None:
+        double_data = _record(double_data, "double_data", ImmersionDoubleData)
 
-    double_data = None
-    rec = data.get("double_data")
-    if rec is not None:
-        if not (isinstance(rec, dict) and "big_l" in rec):
-            raise ParseError(f"double_data must be an object with big_l, got {rec!r}")
-        double_data = ImmersionDoubleData(_int(rec["big_l"], "double_data"))
-
-    closed_r5 = []
-    for rid, rec in _records(data, "closed_records_r5", "closed_r5"):
-        try:
-            closed_r5.append((rid, ClosedMapRecordR5(
-                _int(rec["sigma"], rid),
-                _int(rec["cusps_algebraic"], rid),
-                _opt_tuple(rec, "cusps_per_component", rid),
-                _bool(rec.get("is_spin", False), f"{rid}.is_spin"),
-            )))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"{rid}: {exc}") from exc
-
-    closed_r6 = []
-    for rid, rec in _records(data, "closed_records_r6", "closed_r6"):
-        try:
-            closed_r6.append((rid, ClosedMapRecordR6(
-                _int(rec["sigma"], rid),
-                _int(rec["triple_points"], rid),
-                _int(rec["singular_linking"], rid),
-            )))
-        except KeyError as exc:
-            raise ParseError(f"{rid}: missing field {exc}") from exc
-
-    partitions = []
-    for rid, rec in _records(data, "partition_records", "partition"):
-        cusps = rec.get("part_cusps")
-        if not (isinstance(cusps, list) and len(cusps) == 2):
-            raise ParseError(f"{rid}: part_cusps must be a pair")
-        flags = [_bool(rec.get(flag, False), f"{rid}.{flag}")
-                 for flag in ("ambient_spin", "separator_null_homologous",
-                              "separator_avoids_double_points")]
-        partitions.append((rid, PartitionRecord(
-            (_int(cusps[0], rid), _int(cusps[1], rid))), all(flags)))
-
-    if (fillings_r5 or fillings_r6) and manifold is None:
+    if (records["fillings_r5"] or records["fillings_r6"]) and manifold is None:
         raise ParseError("record file with fillings needs a 'manifold' reference")
 
-    return SeifertData(manifold, fillings_r5, fillings_r6, double_data,
-                       closed_r5, closed_r6, partitions)
+    return SeifertData(manifold, double_data, **records)
 
 
 def load_records(path: str) -> SeifertData:
@@ -516,19 +501,20 @@ def verify_file_report(sd: SeifertData) -> dict:
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "passed": passed, "detail": detail})
 
-    for rid, rec in sd.closed_r5:
+    for rid, rec in sd.closed_records_r5:
         add(f"closed 5-space identity [{rid}]", check_closed_r5(rec),
             f"#cusps + 3σ = {rec.cusps_algebraic + 3 * rec.sigma}")
         if rec.is_spin and rec.cusps_per_component is not None:
             add(f"even cusps per component [{rid}]",
                 check_spin_even_components(rec),
                 str(list(rec.cusps_per_component)))
-    for rid, rec in sd.closed_r6:
+    for rid, rec in sd.closed_records_r6:
         add(f"closed 6-space identity [{rid}]", check_closed_r6(rec),
             f"σ - l + t = "
             f"{rec.sigma - rec.singular_linking + rec.triple_points}")
-    for rid, rec, applies in sd.partitions:
-        if applies:
+    for rid, rec in sd.partition_records:
+        if (rec.ambient_spin and rec.separator_null_homologous
+                and rec.separator_avoids_double_points):
             add(f"partition divisibility by 6 [{rid}]",
                 check_partition_divisibility(rec), str(list(rec.part_cusps)))
         else:
@@ -732,6 +718,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Integers are exact decimal strings of any length, in and out, past
+    # CPython's default cap of 4,300 digits on int/str conversion.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParityError as exc:
@@ -740,6 +731,9 @@ def main(argv=None) -> int:
     except Imm5Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -68,9 +68,13 @@ class ClosedMapRecordR6:
 
 @dataclass(frozen=True)
 class PartitionRecord:
-    """Algebraic cusp counts on the two sides of a separating 3-manifold."""
+    """Algebraic cusp counts on the two sides of a separating 3-manifold,
+    and the preconditions under which both are divisible by 6."""
 
     part_cusps: tuple[int, int]
+    ambient_spin: bool = False
+    separator_null_homologous: bool = False
+    separator_avoids_double_points: bool = False
 
 
 def check_closed_r5(r: ClosedMapRecordR5) -> bool:
@@ -366,7 +370,7 @@ def run_oracles(seed: int = 0, trials: int = 500) -> list[OracleReport]:
         oracle_parity_lemma(trials, 6, seed),
         oracle_snf(trials, 6, seed + 1),
         oracle_signature(trials, 6, seed + 2),
-        oracle_invariant_coincidence(max(trials, 1000), seed + 3),
+        oracle_invariant_coincidence(2 * trials, seed + 3),
         oracle_gluing(trials, seed + 4),
     ]
 

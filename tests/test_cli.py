@@ -1,5 +1,6 @@
 """Command-line interface, file formats and report round-trips."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -35,6 +36,22 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """CPython's int/str conversion digit limit, set for the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no int/str digit limit")
 
 
 class TestAnalyze:
@@ -245,6 +262,14 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("ParseError: --trials must be at least 1")
 
+    def test_trials_scale_the_coincidence_battery(self, capsys):
+        code, out, _ = run(capsys, "verify", "--oracles", "--trials", "3", "--json")
+        assert code == 0
+        reports = json.loads(out)["sections"][0]["reports"]
+        trials = {r["name"]: r["trials"] for r in reports}
+        assert trials["i_a = i_b coincidence"] == 6
+        assert set(trials.values()) == {3, 6}
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/records.json")
         assert code == 2
@@ -308,23 +333,84 @@ class TestFileFormats:
         assert out == ""
         assert err.startswith("ParseError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"manifold": "t3", "fillings_r5": [{"sigma": 0}]},
+         "r5[0]: missing field 'cusps_algebraic'"),
+        ({"manifold": "t3", "fillings_r6": [{"sigma": 0, "triple_points": 0}]},
+         "r6[0]: missing field 'singular_linking'"),
+        ({"manifold": "t3",
+          "fillings_r5": [{"id": "w8", "sigma": 1.5, "cusps_algebraic": 0}]},
+         "w8.sigma: expected an integer, got 1.5"),
+        ({"double_data": {}}, "double_data: missing field 'big_l'"),
+        ({"partition_records": [{"part_cusps": [6]}]},
+         "partition[0].part_cusps: expected a list of 2 integers, got [6]"),
+        ({"closed_records_r5": [{"sigma": 0, "cusps_algebraic": 0,
+                                 "cusps_per_component": [1]}]},
+         "closed_r5[0]: per-component cusp counts must sum to the total"),
+        ({"closed_records_r5": [{"sigma": 0, "cusps_algebraic": 0,
+                                 "cusps_per_component": [None]}]},
+         "closed_r5[0].cusps_per_component: expected an integer, got None"),
+    ], ids=["r5-missing", "r6-missing", "wrong-type", "double-data-missing",
+            "pair-too-short", "cusps-do-not-sum", "null-in-list"])
+    def test_errors_name_record_and_field(self, capsys, tmp_path, payload, message):
+        code, out, err = run(capsys, "verify", write_json(tmp_path, "r.json", payload))
+        assert (code, out, err) == (2, "", f"ParseError: {message}\n")
+
     @pytest.mark.parametrize("command, case", [
         ("analyze", "directory"), ("analyze", "not-utf8"),
         ("verify", "directory"), ("verify", "not-utf8"),
         ("verify", "empty-manifold"), ("verify", "manifold-not-utf8"),
+        ("analyze", "deep"), ("verify", "deep"), ("verify", "manifold-deep"),
     ])
     def test_unreadable_files_exit_2(self, capsys, tmp_path, command, case):
         (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"linking_matrix": [[0]]}')
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
         path = {
             "directory": str(tmp_path),
             "not-utf8": str(tmp_path / "bad.json"),
-            "empty-manifold": write_json(tmp_path, "r.json", {"manifold": ""}),
-            "manifold-not-utf8": write_json(tmp_path, "r.json", {"manifold": "bad.json"}),
+            "empty-manifold": write_json(tmp_path, "r1.json", {"manifold": ""}),
+            "manifold-not-utf8": write_json(tmp_path, "r2.json", {"manifold": "bad.json"}),
+            "deep": str(tmp_path / "deep.json"),
+            "manifold-deep": write_json(tmp_path, "r3.json", {"manifold": "deep.json"}),
         }[case]
         code, out, err = run(capsys, command, path)
         assert code == 2
         assert out == ""
         assert err.startswith("ParseError: ") and err.count("\n") == 1
+
+
+@needs_digit_limit
+class TestLongIntegers:
+    """Integers past CPython's default 4,300-digit int/str limit."""
+
+    def test_long_literal_is_exact(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"linking_matrix": [[' + "7" * 5000 + ']]}')
+        with int_digit_limit(4300):
+            code, out, err = run(capsys, "analyze", str(path), "--json")
+            assert sys.get_int_max_str_digits() == 4300
+        assert (code, err) == (0, "")
+        assert json.loads(out)["torsion_factors"] == ["7" * 5000]
+
+    def test_long_determinant_is_exact(self, capsys, tmp_path):
+        entry = "3" * 2200
+        path = write_json(tmp_path, "m.json",
+                          {"linking_matrix": [[entry, "1"], ["1", entry]]})
+        with int_digit_limit(4300):
+            code, out, err = run(capsys, "analyze", path, "--json")
+        assert (code, err) == (0, "")
+        [factor] = json.loads(out)["torsion_factors"]
+        with int_digit_limit(0):
+            assert int(factor) == int(entry) ** 2 - 1
+
+    def test_library_callers_get_parse_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"linking_matrix": [[' + "7" * 5000 + ']]}')
+        with int_digit_limit(4300):
+            with pytest.raises(ParseError, match=r"linking_matrix\[0\]"):
+                parse_manifold({"linking_matrix": [["7" * 5000]]})
+            with pytest.raises(ParseError, match="not valid JSON"):
+                load_manifold(str(path))
 
 
 class TestJsonRoundTrip:

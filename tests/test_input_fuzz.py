@@ -1,0 +1,99 @@
+"""Fuzz gate for the input layer: arbitrary bounded JSON values fed to the
+parsers and to the CLI.  Only Imm5Error subclasses may leave the parsers,
+and the CLI always exits 0, 1 or 2; on 2 it prints one error line and no
+report.
+"""
+
+import contextlib
+import io
+import json
+from dataclasses import MISSING, fields
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from imm5.cli import RECORD_KINDS, main, parse_manifold, parse_seifert_file
+from imm5.errors import Imm5Error
+from imm5.invariants import ImmersionDoubleData
+
+INTS = st.integers(-40, 40)
+LEAVES = (st.none() | st.booleans() | INTS
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from(["", "0", "1", "-3", " 12 ", "t3", "s3", "rp3", "01"])
+          | st.text(max_size=4))
+# Arbitrary values, their keys biased toward the names the readers look for.
+NAMES = sorted(
+    {f.name for _, cls in RECORD_KINDS.values() for f in fields(cls)}
+    | {f.name for f in fields(ImmersionDoubleData)} | set(RECORD_KINDS)
+    | {"id", "manifold", "double_data", "name", "linking_matrix",
+       "spin_boundary_signatures"})
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(NAMES) | st.text(max_size=3), children,
+                      max_size=5),
+    max_leaves=12)
+
+# Files shaped like the real formats, so that most values get past the
+# first checks: records carry their kind's required fields, some of its
+# optional ones and an id; in half of them every field value has the
+# field's declared type, in the rest any field may hold any value.  The
+# shaped alternatives come first in each union, where the draws lean.
+VALUES = LEAVES | st.lists(LEAVES, max_size=3)
+TYPED = {
+    "int": INTS | INTS.map(str),
+    "bool": st.booleans(),
+    "tuple[int, int]": st.lists(INTS, min_size=2, max_size=2),
+    "tuple[int, ...] | None": st.lists(INTS, max_size=3) | st.none(),
+}
+
+
+def records_of(cls):
+    def record(value):
+        required = {f.name: value(f) for f in fields(cls) if f.default is MISSING}
+        optional = {f.name: value(f) for f in fields(cls) if f.default is not MISSING}
+        return st.fixed_dictionaries(required, optional={"id": VALUES, **optional})
+    return (record(lambda f: TYPED[f.type])
+            | record(lambda f: TYPED[f.type] | VALUES))
+
+
+MATRIX = st.lists(st.lists(st.integers(-3, 3) | LEAVES, max_size=2), max_size=2)
+MANIFOLD = st.fixed_dictionaries(
+    {"linking_matrix": MATRIX},
+    optional={"name": LEAVES,
+              "spin_boundary_signatures":
+                  st.dictionaries(st.sampled_from(["", "0", "1", "01"]), VALUES,
+                                  max_size=2) | LEAVES})
+CONTENTS = {
+    "double_data": records_of(ImmersionDoubleData),
+    **{key: st.lists(records_of(cls), min_size=1, max_size=2)
+       for key, (_, cls) in RECORD_KINDS.items()}}
+RECORD_FILE = st.sets(st.sampled_from(sorted(CONTENTS)), min_size=1, max_size=3).flatmap(
+    lambda keys: st.fixed_dictionaries({
+        "manifold": st.sampled_from(["t3", "s3", "rp3", "l4"]) | MANIFOLD,
+        **{key: CONTENTS[key] for key in keys}}))
+FILES = RECORD_FILE | MANIFOLD | JSON_VALUES
+FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@FUZZ
+@given(value=FILES)
+def test_parsers_raise_only_imm5_errors(tmp_path_factory, value):
+    base_dir = str(tmp_path_factory.getbasetemp())
+    for parse in (parse_manifold, lambda v: parse_seifert_file(v, base_dir)):
+        with contextlib.suppress(Imm5Error):
+            parse(value)
+
+
+@FUZZ
+@given(value=FILES)
+def test_cli_exits_0_1_or_2(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    for command in ("analyze", "invariant", "verify", "embeddings"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--json"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1
