@@ -7,18 +7,19 @@ algebra against independent routes (determinantal divisors, Descartes
 sign counts).
 """
 
-from imm5.invariants import ImmersionDoubleData, SeifertFillingR5
-from imm5.verify import (
+from imm5.invariants import (
     ClosedMapRecordR5,
     ClosedMapRecordR6,
+    ImmersionDoubleData,
     PartitionRecord,
+    SeifertFillingR5,
     check_closed_r5,
     check_closed_r6,
     check_cusp_residue,
     check_partition_divisibility,
     check_spin_even_components,
-    run_oracles,
 )
+from imm5.verify import run_oracles
 
 
 def main() -> None:

@@ -10,6 +10,8 @@ optional ``double_data`` object.  ``_record`` reads each record from the
 fields of its dataclass: a field without a default is required, an
 absent one takes its default, and a present value goes through the
 reader for the field's declared type.  Errors name ``<id>.<field>``.
+A record's name, its ``id`` or else ``<prefix>[<index>]``, is unique
+within the file.
 Integers may be written as decimal strings of any length and stay
 exact; those larger than 53 bits are written back as decimal strings.
 
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import re
+import reprlib
 import sys
 from dataclasses import MISSING, dataclass, fields
 from math import gcd
@@ -42,11 +45,19 @@ from .errors import (
 from .fixtures import manifold_json
 from .intlinalg import IntSymMatrix
 from .invariants import (
+    ClosedMapRecordR5,
+    ClosedMapRecordR6,
     ImmersionDoubleData,
+    PartitionRecord,
     RegHomotopyClass,
     SeifertFillingR5,
     SeifertFillingR6,
     SmaleClass,
+    check_closed_r5,
+    check_closed_r6,
+    check_cusp_residue,
+    check_partition_divisibility,
+    check_spin_even_components,
     connected_sum_act,
     i_a,
     i_b,
@@ -58,22 +69,17 @@ from .surgery import (
     gamma2_elements,
     homology_profile,
 )
-from .verify import (
-    ClosedMapRecordR5,
-    ClosedMapRecordR6,
-    PartitionRecord,
-    check_closed_r5,
-    check_closed_r6,
-    check_cusp_residue,
-    check_partition_divisibility,
-    check_spin_even_components,
-    run_oracles,
-    run_reproductions,
-)
 
 SEED_ENV = "IMM5_SEED"
 INT_STRING_BOUND = 2 ** 53
 _INT_RE = re.compile(r"-?[0-9]+$")
+
+# Quotes an offending input value in an error message in at most about 200
+# characters: nested containers show as [...], long scalars lose their middle.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 1
+_QUOTE.maxdict = 3
+_QUOTE.maxlong = 30
 
 
 # ----------------------------------------------------------------------
@@ -114,20 +120,21 @@ def _int(value, where: str) -> int:
             return int(value.strip())
         except ValueError as exc:  # past the interpreter's int/str digit limit
             raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}: expected an integer, got {value!r}")
+    raise ParseError(f"{where}: expected an integer, got {_QUOTE.repr(value)}")
 
 
 def _bool(value, where: str) -> bool:
     if isinstance(value, bool):
         return value
-    raise ParseError(f"{where}: expected true or false, got {value!r}")
+    raise ParseError(f"{where}: expected true or false, got {_QUOTE.repr(value)}")
 
 
 def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
     """A JSON list of integers, of the given length if one is given."""
     if not isinstance(value, list) or length not in (None, len(value)):
         count = "" if length is None else f"{length} "
-        raise ParseError(f"{where}: expected a list of {count}integers, got {value!r}")
+        raise ParseError(
+            f"{where}: expected a list of {count}integers, got {_QUOTE.repr(value)}")
     return tuple(_int(v, where) for v in value)
 
 
@@ -149,7 +156,7 @@ def _record(obj, rid: str, cls):
     default; each present value is read by the field's declared type.
     """
     if not isinstance(obj, dict):
-        raise ParseError(f"{rid}: expected an object, got {obj!r}")
+        raise ParseError(f"{rid}: expected an object, got {_QUOTE.repr(obj)}")
     values = {}
     for f in fields(cls):
         if f.name in obj:
@@ -183,10 +190,11 @@ def parse_wu_coords(text: str, alpha: int) -> Gamma2Element:
     if alpha == 0:
         if cleaned in ("", "0"):
             return Gamma2Element(())
-        raise ParseError(f"Wu coordinates {text!r} invalid: Gamma2 is trivial here")
+        raise ParseError(
+            f"Wu coordinates {_QUOTE.repr(text)} invalid: Gamma2 is trivial here")
     if len(cleaned) != alpha or any(ch not in "01" for ch in cleaned):
         raise ParseError(
-            f"Wu coordinates {text!r} invalid: expected {alpha} bits"
+            f"Wu coordinates {_QUOTE.repr(text)} invalid: expected {alpha} bits"
         )
     return Gamma2Element(tuple(int(ch) for ch in cleaned))
 
@@ -214,8 +222,8 @@ def parse_manifold(data: dict) -> ManifoldData:
             for s0 in sigs:
                 if (s0 - profile.alpha) % 2:
                     raise ParityViolation(
-                        f"base signature {s0} for coset {key!r} has the wrong "
-                        f"parity (alpha = {profile.alpha})"
+                        f"base signature {_QUOTE.repr(s0)} for coset {key!r} "
+                        f"has the wrong parity (alpha = {profile.alpha})"
                     )
             per_coset[coset] = per_coset.get(coset, frozenset()) | sigs
         signatures = SpinBoundarySignatures(per_coset)
@@ -241,7 +249,7 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
     if not isinstance(ref, str):
         raise ParseError(
             f"manifold reference must be a file name, a fixture name or an "
-            f"object, got {ref!r}")
+            f"object, got {_QUOTE.repr(ref)}")
     path = ref if base_dir is None else os.path.join(base_dir, ref)
     if os.path.isfile(path):
         return parse_manifold(_read_json(path, ref))
@@ -249,7 +257,7 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
         return parse_manifold(manifold_json(ref))
     except KeyError:
         raise ParseError(
-            f"{ref!r} is neither an existing file nor a built-in fixture"
+            f"{_QUOTE.repr(ref)} is neither an existing file nor a built-in fixture"
         ) from None
 
 
@@ -288,15 +296,20 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
         manifold = load_manifold(data["manifold"], base_dir)
 
     records = {}
+    seen = set()  # record names, explicit or positional, unique per file
     for key, (prefix, cls) in RECORD_KINDS.items():
         objs = data.get(key, [])
         if not isinstance(objs, list):
-            raise ParseError(f"{key} must be a list of objects, got {objs!r}")
+            raise ParseError(
+                f"{key} must be a list of objects, got {_QUOTE.repr(objs)}")
         records[key] = []
         for k, obj in enumerate(objs):
             rid = f"{prefix}[{k}]"
             if isinstance(obj, dict) and "id" in obj:
                 rid = str(obj["id"])
+            if rid in seen:
+                raise ParseError(f"{rid}: duplicate id")
+            seen.add(rid)
             records[key].append((rid, _record(obj, rid, cls)))
 
     double_data = data.get("double_data")
@@ -368,33 +381,37 @@ def render_analyze(rep: dict) -> str:
     return "\n".join(lines)
 
 
+def _filling_values(sd: SeifertData, want_ia: bool,
+                    want_ib: bool) -> list[tuple[str, str, int]]:
+    """The invariant i of every filling, as (route, record id, value) in
+    file order: i_a of the 5-space fillings, then i_b of the 6-space ones.
+    A ParityError names the record that raised it."""
+    h = sd.manifold.profile
+    values = []
+    try:
+        if want_ia:
+            for rid, rec in sd.fillings_r5:
+                values.append(("i_a", rid, i_a(rec, h)))
+        if want_ib:
+            for rid, rec in sd.fillings_r6:
+                values.append(("i_b", rid, i_b(rec, sd.double_data, h)))
+    except ParityError as exc:
+        raise ParityError(f"record {rid}: {exc}") from exc
+    return values
+
+
 def invariant_report(sd: SeifertData, want_ia: bool, want_ib: bool) -> dict:
     if sd.manifold is None:
         raise ParseError("record file needs a 'manifold' reference")
-    h = sd.manifold.profile
-    ia_values = []
-    if want_ia:
-        if not sd.fillings_r5:
-            raise ParseError("no 5-space fillings in the record file")
-        for rid, rec in sd.fillings_r5:
-            try:
-                ia_values.append({"id": rid, "value": i_a(rec, h)})
-            except ParityError as exc:
-                raise ParityError(f"record {rid}: {exc}") from exc
-    ib_values = []
+    if want_ia and not sd.fillings_r5:
+        raise ParseError("no 5-space fillings in the record file")
     if want_ib:
         if not sd.fillings_r6:
             raise ParseError("no 6-space fillings in the record file")
         if sd.double_data is None:
             raise ParseError("i_b needs the double_data block (big_l)")
-        for rid, rec in sd.fillings_r6:
-            try:
-                ib_values.append({"id": rid, "value": i_b(rec, sd.double_data, h)})
-            except ParityError as exc:
-                raise ParityError(f"record {rid}: {exc}") from exc
-
-    values = [e["value"] for e in ia_values] + [e["value"] for e in ib_values]
-    coincide = len(set(values)) <= 1
+    values = _filling_values(sd, want_ia, want_ib)
+    coincide = len({v for _, _, v in values}) <= 1
     residues = None
     residues_ok = True
     if sd.double_data is not None and sd.fillings_r5:
@@ -409,9 +426,9 @@ def invariant_report(sd: SeifertData, want_ia: bool, want_ib: bool) -> dict:
     return {
         "command": "invariant",
         "name": sd.manifold.presentation.name,
-        "alpha": h.alpha,
-        "i_a": ia_values,
-        "i_b": ib_values,
+        "alpha": sd.manifold.profile.alpha,
+        "i_a": [{"id": rid, "value": v} for r, rid, v in values if r == "i_a"],
+        "i_b": [{"id": rid, "value": v} for r, rid, v in values if r == "i_b"],
         "coincide": coincide,
         "cusp_residues": residues,
         "passed": coincide and residues_ok,
@@ -522,21 +539,15 @@ def verify_file_report(sd: SeifertData) -> dict:
                 "skipped: precondition flags not set")
 
     if sd.manifold is not None and (sd.fillings_r5 or sd.fillings_r6):
-        h = sd.manifold.profile
-        values = {}
         try:
-            for rid, rec in sd.fillings_r5:
-                values[f"i_a[{rid}]"] = i_a(rec, h)
-            if sd.double_data is not None:
-                for rid, rec in sd.fillings_r6:
-                    values[f"i_b[{rid}]"] = i_b(rec, sd.double_data, h)
+            values = _filling_values(sd, True, sd.double_data is not None)
         except ParityError as exc:
             add("invariant parity", False, str(exc))
-            values = {}
+            values = []
         if values:
-            distinct = set(values.values())
-            add("all filling routes give one invariant", len(distinct) <= 1,
-                ", ".join(f"{k} = {v}" for k, v in values.items()))
+            add("all filling routes give one invariant",
+                len({v for _, _, v in values}) <= 1,
+                ", ".join(f"{r}[{rid}] = {v}" for r, rid, v in values))
         if sd.double_data is not None:
             for rid, rec in sd.fillings_r5:
                 add(f"cusp residue mod 3 [{rid}]",
@@ -549,6 +560,8 @@ def verify_file_report(sd: SeifertData) -> dict:
 
 
 def corollaries_report() -> dict:
+    from .verify import run_reproductions  # so that no other command loads verify
+
     reports = run_reproductions()
     return {
         "command": "verify",
@@ -560,6 +573,8 @@ def corollaries_report() -> dict:
 
 
 def oracles_report(seed: int, trials: int = 500) -> dict:
+    from .verify import run_oracles  # so that no other command loads verify
+
     reports = run_oracles(seed=seed, trials=trials)
     return {
         "command": "verify",
@@ -574,7 +589,7 @@ def oracles_report(seed: int, trials: int = 500) -> dict:
 
 def render_verify(rep: dict) -> str:
     lines = []
-    for sub in rep["sections"] if "sections" in rep else [rep]:
+    for sub in rep["sections"]:
         if sub["mode"] == "records":
             for check in sub["checks"]:
                 mark = "✓" if check["passed"] else "✗"
@@ -641,7 +656,8 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise ParseError(f"{SEED_ENV}={env!r} is not an integer") from None
+            raise ParseError(
+                f"{SEED_ENV}={_QUOTE.repr(env)} is not an integer") from None
     return 0
 
 

@@ -62,10 +62,6 @@ class IntSymMatrix:
     def row_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntSymMatrix) and self.entries == other.entries
 

@@ -7,15 +7,26 @@ route, via a filling mapped to upper 6-space), and the free transitive
 connected-sum action of sphere immersions on each Wu class.
 
 Seifert data is supplied numerically; the module enforces every parity
-and consistency identity such data must satisfy.
+and consistency identity such data must satisfy.  It also holds every
+record type of the record file (fillings, closed maps, partitions) and
+the validators of the closed-manifold identities and of the cusp-count
+divisibility facts that follow from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParityError, WuMismatch
+from .errors import HypothesisViolated, MissingData, ParityError, WuMismatch
 from .surgery import Gamma2Element, HomologyProfile
+
+
+def _check_cusp_sum(record) -> None:
+    """The __post_init__ of the cusp-route records: per-component cusp
+    counts, when given, sum to the algebraic total."""
+    if (record.cusps_per_component is not None
+            and sum(record.cusps_per_component) != record.cusps_algebraic):
+        raise ValueError("per-component cusp counts must sum to the total")
 
 
 @dataclass(frozen=True)
@@ -26,10 +37,7 @@ class SeifertFillingR5:
     cusps_algebraic: int
     cusps_per_component: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if (self.cusps_per_component is not None
-                and sum(self.cusps_per_component) != self.cusps_algebraic):
-            raise ValueError("per-component cusp counts must sum to the total")
+    __post_init__ = _check_cusp_sum
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,38 @@ class ImmersionDoubleData:
     """Linking number of the immersed image with its pushed-off double curves."""
 
     big_l: int
+
+
+@dataclass(frozen=True)
+class ClosedMapRecordR5:
+    """Data of a generic map of a closed oriented 4-manifold to 5-space."""
+
+    sigma: int
+    cusps_algebraic: int
+    cusps_per_component: tuple[int, ...] | None = None
+    is_spin: bool = False
+
+    __post_init__ = _check_cusp_sum
+
+
+@dataclass(frozen=True)
+class ClosedMapRecordR6:
+    """Data of a generic map of a closed oriented 4-manifold to 6-space."""
+
+    sigma: int
+    triple_points: int
+    singular_linking: int
+
+
+@dataclass(frozen=True)
+class PartitionRecord:
+    """Algebraic cusp counts on the two sides of a separating 3-manifold,
+    and the preconditions under which both are divisible by 6."""
+
+    part_cusps: tuple[int, int]
+    ambient_spin: bool = False
+    separator_null_homologous: bool = False
+    separator_avoids_double_points: bool = False
 
 
 @dataclass(frozen=True)
@@ -132,3 +172,34 @@ def track_correction(l_before: int, l_after: int,
     True iff l_before = l_after + 3 * (triple points of the track).
     """
     return l_before == l_after + 3 * triple_points_of_track
+
+
+def check_closed_r5(r: ClosedMapRecordR5) -> bool:
+    """Closed-manifold identity in 5-space: #cusps + 3*sigma = 0."""
+    return r.cusps_algebraic + 3 * r.sigma == 0
+
+
+def check_closed_r6(r: ClosedMapRecordR6) -> bool:
+    """Closed-manifold identity in 6-space: sigma - l + t = 0."""
+    return r.sigma - r.singular_linking + r.triple_points == 0
+
+
+def check_cusp_residue(filling: SeifertFillingR5, d: ImmersionDoubleData) -> bool:
+    """The cusp count of any filling is congruent to L mod 3."""
+    return (filling.cusps_algebraic - d.big_l) % 3 == 0
+
+
+def check_spin_even_components(r: ClosedMapRecordR5) -> bool:
+    """On a closed spin 4-manifold every singularity component carries an
+    even number of cusps."""
+    if not r.is_spin:
+        raise HypothesisViolated("the even-cusp check applies to spin records only")
+    if r.cusps_per_component is None:
+        raise MissingData("record carries no per-component cusp counts")
+    return all(c % 2 == 0 for c in r.cusps_per_component)
+
+
+def check_partition_divisibility(p: PartitionRecord) -> bool:
+    """Cusp counts on both sides of the separating 3-manifold are
+    divisible by 6."""
+    return all(c % 6 == 0 for c in p.part_cusps)

@@ -68,24 +68,17 @@ class HomologyProfile:
     betti1           rank of H1(M; Z)
     torsion_factors  invariant factors of the torsion subgroup (each >= 2,
                      divisibility chain in Smith order)
-    alpha            number of even torsion factors, i.e.
+    alpha            (derived) number of even torsion factors, i.e.
                      dim_Z2 (torsion H1 (x) Z2), which is also the rank
                      of Gamma2(M) as a Z2 vector space
     """
 
     betti1: int
     torsion_factors: tuple[int, ...]
-    alpha: int
 
-    def __post_init__(self) -> None:
-        expected = sum(1 for d in self.torsion_factors if d % 2 == 0)
-        if self.alpha != expected:
-            raise ValueError("alpha must count the even torsion factors")
-
-    @classmethod
-    def derive(cls, betti1: int, torsion_factors: tuple[int, ...]) -> "HomologyProfile":
-        alpha = sum(1 for d in torsion_factors if d % 2 == 0)
-        return cls(betti1, tuple(torsion_factors), alpha)
+    @cached_property
+    def alpha(self) -> int:
+        return len(even_torsion_positions(self.torsion_factors))
 
     @property
     def gamma2_order(self) -> int:
@@ -120,10 +113,6 @@ class Gamma2Element:
         return cls((0,) * rank)
 
     @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    @property
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -143,7 +132,7 @@ def homology_profile(p: SurgeryPresentation) -> HomologyProfile:
     factors = p.smith.invariant_factors
     betti1 = sum(1 for d in factors if d == 0)
     torsion = tuple(d for d in factors if d >= 2)
-    return HomologyProfile.derive(betti1, torsion)
+    return HomologyProfile(betti1, torsion)
 
 
 def gamma2_elements(h: HomologyProfile) -> list[Gamma2Element]:

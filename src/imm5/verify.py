@@ -1,10 +1,8 @@
-"""Validators, brute-force oracles, and built-in reproductions.
+"""Brute-force oracles and built-in reproductions.
 
-Three layers live here:
+Two layers live here, on top of the record types and validators of
+``imm5.invariants``:
 
-* arithmetic validators for the closed-manifold identities that make
-  the invariants well defined, and for the cusp-count divisibility
-  facts that follow from them;
 * independent oracles (determinantal divisors for the Smith form,
   Descartes sign counting on the characteristic polynomial for the
   signature, parity of even nonsingular forms) run as seeded random
@@ -22,90 +20,24 @@ from math import gcd
 from operator import mul
 
 from .embeddings import SpinBoundarySignatures, embedding_classes, is_embedding_class
-from .errors import HypothesisViolated, MissingData
 from .fixtures import manifold_json, presentation
 from .intlinalg import IntSymMatrix, det_int, signature, smith_normal_form
 from .invariants import (
+    ClosedMapRecordR5,
+    ClosedMapRecordR6,
     ImmersionDoubleData,
     RegHomotopyClass,
     SeifertFillingR5,
     SeifertFillingR6,
+    check_closed_r5,
+    check_closed_r6,
+    check_cusp_residue,
     i_a,
     i_b,
     smale_via_seifert_r5,
     solve_for_summand,
 )
 from .surgery import Gamma2Element, HomologyProfile, homology_profile
-
-
-# ----------------------------------------------------------------------
-# Record types and validators
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClosedMapRecordR5:
-    """Data of a generic map of a closed oriented 4-manifold to 5-space."""
-
-    sigma: int
-    cusps_algebraic: int
-    cusps_per_component: tuple[int, ...] | None = None
-    is_spin: bool = False
-
-    def __post_init__(self) -> None:
-        if (self.cusps_per_component is not None
-                and sum(self.cusps_per_component) != self.cusps_algebraic):
-            raise ValueError("per-component cusp counts must sum to the total")
-
-
-@dataclass(frozen=True)
-class ClosedMapRecordR6:
-    """Data of a generic map of a closed oriented 4-manifold to 6-space."""
-
-    sigma: int
-    triple_points: int
-    singular_linking: int
-
-
-@dataclass(frozen=True)
-class PartitionRecord:
-    """Algebraic cusp counts on the two sides of a separating 3-manifold,
-    and the preconditions under which both are divisible by 6."""
-
-    part_cusps: tuple[int, int]
-    ambient_spin: bool = False
-    separator_null_homologous: bool = False
-    separator_avoids_double_points: bool = False
-
-
-def check_closed_r5(r: ClosedMapRecordR5) -> bool:
-    """Closed-manifold identity in 5-space: #cusps + 3*sigma = 0."""
-    return r.cusps_algebraic + 3 * r.sigma == 0
-
-
-def check_closed_r6(r: ClosedMapRecordR6) -> bool:
-    """Closed-manifold identity in 6-space: sigma - l + t = 0."""
-    return r.sigma - r.singular_linking + r.triple_points == 0
-
-
-def check_cusp_residue(filling: SeifertFillingR5, d: ImmersionDoubleData) -> bool:
-    """The cusp count of any filling is congruent to L mod 3."""
-    return (filling.cusps_algebraic - d.big_l) % 3 == 0
-
-
-def check_spin_even_components(r: ClosedMapRecordR5) -> bool:
-    """On a closed spin 4-manifold every singularity component carries an
-    even number of cusps."""
-    if not r.is_spin:
-        raise HypothesisViolated("the even-cusp check applies to spin records only")
-    if r.cusps_per_component is None:
-        raise MissingData("record carries no per-component cusp counts")
-    return all(c % 2 == 0 for c in r.cusps_per_component)
-
-
-def check_partition_divisibility(p: PartitionRecord) -> bool:
-    """Cusp counts on both sides of the separating 3-manifold are
-    divisible by 6."""
-    return all(c % 6 == 0 for c in p.part_cusps)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +157,7 @@ def random_consistent_seifert_data(
     alpha = rng.randint(0, 3)
     if (sigma - alpha) % 2:
         alpha += 1
-    h = HomologyProfile.derive(rng.randint(0, 2), (2,) * alpha)
+    h = HomologyProfile(rng.randint(0, 2), (2,) * alpha)
     t = rng.randint(-4, 4)
     l = rng.randint(-4, 4)
     big_l = 2 * rng.randint(-5, 5) + ((t - l) % 2)
@@ -386,22 +318,15 @@ class CheckReport:
     lines: tuple[str, ...]
 
 
-def _trivial_wu() -> Gamma2Element:
-    return Gamma2Element.zero(0)
-
-
 def _sphere_embedding_set():
-    sphere = presentation("s3")
-    h = homology_profile(sphere)
-    sigs = SpinBoundarySignatures.from_dict({_trivial_wu(): [0]})
-    return h, embedding_classes(h, sigs)
+    sigs = SpinBoundarySignatures.from_dict({Gamma2Element(()): [0]})
+    return embedding_classes(homology_profile(presentation("s3")), sigs)
 
 
 def _torus_embedding_set():
-    torus = presentation("t3")
-    h = homology_profile(torus)
+    h = homology_profile(presentation("t3"))
     raw = manifold_json("t3")["spin_boundary_signatures"]
-    sigs = SpinBoundarySignatures.from_dict({_trivial_wu(): raw["0"]})
+    sigs = SpinBoundarySignatures.from_dict({Gamma2Element(()): raw["0"]})
     return h, embedding_classes(h, sigs)
 
 
@@ -442,9 +367,8 @@ def torus_summand_obstruction() -> CheckReport:
     f0 = RegHomotopyClass(wu, i_a(SeifertFillingR5(0, 0), h))
     f8 = RegHomotopyClass(wu, i_a(SeifertFillingR5(8, 0), h))
     summand = solve_for_summand(f0, f8)
-    _, sphere_set = _sphere_embedding_set()
     embeddable = is_embedding_class(
-        RegHomotopyClass(_trivial_wu(), summand.omega), sphere_set)
+        RegHomotopyClass(Gamma2Element(()), summand.omega), _sphere_embedding_set())
     passed = f0.i == 0 and f8.i == 12 and summand.omega == 12 and not embeddable
     mark = "✓" if passed else "✗"
     chain = ("12 = 3/2·8 = i(F₈) = i(F₀ ♯ h) = "

@@ -95,7 +95,7 @@ def test_torus_summand_obstruction(capsys):
                                 RegHomotopyClass(WU0, 12))
     assert summand.omega == 12
     sphere_set = embedding_classes(
-        HomologyProfile.derive(0, ()),
+        HomologyProfile(0, ()),
         SpinBoundarySignatures.from_dict({WU0: [0]}))
     assert not is_embedding_class(RegHomotopyClass(WU0, 12), sphere_set)
     report = torus_summand_obstruction()

@@ -141,6 +141,9 @@ class TestInvariant:
         code, _, err = run(capsys, "invariant", path, "--ia")
         assert code == 1
         assert "ParityError" in err and "odd-one" in err
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 1
+        assert "invariant parity: ✗  (record odd-one: 3*(sigma - alpha)" in out
 
 
 class TestAct:
@@ -270,6 +273,21 @@ class TestVerifyCommand:
         assert trials["i_a = i_b coincidence"] == 6
         assert set(trials.values()) == {3, 6}
 
+    def test_fillings_with_distinct_ids_and_values_fail(self, capsys, tmp_path):
+        path = write_json(tmp_path, "rec.json", {
+            "manifold": "t3",
+            "fillings_r5": [{"id": "a", "sigma": 8, "cusps_algebraic": 0},
+                            {"id": "b", "sigma": 0, "cusps_algebraic": 0}],
+        })
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 1
+        assert ("all filling routes give one invariant: ✗  "
+                "(i_a[a] = 12, i_a[b] = 0)") in out
+        assert out.endswith("verdict: FAIL\n")
+        code, out, _ = run(capsys, "invariant", path, "--ia")
+        assert code == 1
+        assert "i_a[a] = 12\ni_a[b] = 0\nall routes agree: ✗" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/records.json")
         assert code == 2
@@ -324,14 +342,20 @@ class TestFileFormats:
             {"sigma": -1, "cusps_algebraic": 3, "is_spin": "false"}]},
         {"partition_records": [
             {"part_cusps": [6, -6], "separator_avoids_double_points": 1}]},
+        {"manifold": "t3",
+         "fillings_r5": [{"id": "a", "sigma": 8, "cusps_algebraic": 0},
+                         {"id": "a", "sigma": 0, "cusps_algebraic": 0}]},
     ], ids=["r5-record-not-object", "partition-record-not-object",
             "r5-not-list", "double-data-without-big-l", "double-data-not-object",
-            "manifold-not-reference", "is-spin-string", "partition-flag-int"])
+            "manifold-not-reference", "is-spin-string", "partition-flag-int",
+            "duplicate-id"])
     def test_malformed_records_exit_2(self, capsys, tmp_path, payload):
-        code, out, err = run(capsys, "verify", write_json(tmp_path, "r.json", payload))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("ParseError: ") and err.count("\n") == 1
+        path = write_json(tmp_path, "r.json", payload)
+        for command in ("verify", "invariant"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("ParseError: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("payload, message", [
         ({"manifold": "t3", "fillings_r5": [{"sigma": 0}]},
@@ -347,11 +371,35 @@ class TestFileFormats:
         ({"closed_records_r5": [{"sigma": 0, "cusps_algebraic": 0,
                                  "cusps_per_component": [1]}]},
          "closed_r5[0]: per-component cusp counts must sum to the total"),
+        ({"manifold": "t3", "fillings_r5": [{"sigma": 0, "cusps_algebraic": 2,
+                                             "cusps_per_component": [1]}]},
+         "r5[0]: per-component cusp counts must sum to the total"),
         ({"closed_records_r5": [{"sigma": 0, "cusps_algebraic": 0,
                                  "cusps_per_component": [None]}]},
          "closed_r5[0].cusps_per_component: expected an integer, got None"),
+        ({"manifold": "t3",
+          "fillings_r5": [{"id": "a", "sigma": 8, "cusps_algebraic": 0},
+                          {"id": "a", "sigma": 0, "cusps_algebraic": 0}]},
+         "a: duplicate id"),
+        ({"manifold": "t3",
+          "fillings_r5": [{"sigma": 8, "cusps_algebraic": 0}],
+          "closed_records_r5": [{"id": "r5[0]", "sigma": 0, "cusps_algebraic": 0}]},
+         "r5[0]: duplicate id"),
+        ({"manifold": "t3",
+          "fillings_r5": [{"sigma": list(range(3000)), "cusps_algebraic": 0}]},
+         "r5[0].sigma: expected an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+        ({"manifold": "t3",
+          "fillings_r5": [{"sigma": "7" * 40 + "x", "cusps_algebraic": 0}]},
+         "r5[0].sigma: expected an integer, got '777777777777...777777777777x'"),
+        ({"fillings_r6": {"k": [[1] * 100], "l": 1, "m": 2, "n": 3}},
+         "fillings_r6 must be a list of objects, got {'k': [...], 'l': 1, 'm': 2, ...}"),
+        ({"manifold": "m" * 1000},
+         "'mmmmmmmmmmmm...mmmmmmmmmmmmm' is neither an existing file nor a "
+         "built-in fixture"),
     ], ids=["r5-missing", "r6-missing", "wrong-type", "double-data-missing",
-            "pair-too-short", "cusps-do-not-sum", "null-in-list"])
+            "pair-too-short", "cusps-do-not-sum", "null-in-list",
+            "filling-cusps-do-not-sum", "duplicate-id", "duplicate-positional-id", "long-list-quoted",
+            "long-string-quoted", "nested-quoted", "long-reference-quoted"])
     def test_errors_name_record_and_field(self, capsys, tmp_path, payload, message):
         code, out, err = run(capsys, "verify", write_json(tmp_path, "r.json", payload))
         assert (code, out, err) == (2, "", f"ParseError: {message}\n")
@@ -445,6 +493,27 @@ class TestJsonRoundTrip:
         data = json.loads(out)
         assert data["alpha"] == 0
         assert data["spin_structures"] == 8
+
+
+def test_commands_without_oracles_leave_verify_unloaded():
+    """Only verify --corollaries and verify --oracles import imm5.verify."""
+    records = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "records.json")
+    commands = [["analyze", "t3"], ["embeddings", "t3"],
+                ["act", "t3", "--wu", "0", "--i", "0", "--omega", "12"],
+                ["invariant", records], ["verify", records]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from imm5.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'imm5.verify' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['verify', '--corollaries'])\n"
+        "assert 'imm5.verify' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                   env=env, check=True)
 
 
 def test_cli_import_leaves_numpy_unloaded():

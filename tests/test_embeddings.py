@@ -16,7 +16,7 @@ from imm5.invariants import RegHomotopyClass
 from imm5.surgery import Gamma2Element, HomologyProfile, homology_profile
 
 WU0 = Gamma2Element(())
-SPHERE = HomologyProfile.derive(0, ())
+SPHERE = HomologyProfile(0, ())
 
 
 def sphere_set():

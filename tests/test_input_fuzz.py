@@ -1,7 +1,7 @@
 """Fuzz gate for the input layer: arbitrary bounded JSON values fed to the
 parsers and to the CLI.  Only Imm5Error subclasses may leave the parsers,
-and the CLI always exits 0, 1 or 2; on 2 it prints one error line and no
-report.
+and the CLI always exits 0, 1 or 2; on 2 it prints one error line of at
+most 300 characters and no report.
 """
 
 import contextlib
@@ -97,3 +97,4 @@ def test_cli_exits_0_1_or_2(tmp_path_factory, value):
         assert code in (0, 1, 2)
         if code == 2:
             assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+            assert len(err.getvalue().rstrip("\n")) <= 300

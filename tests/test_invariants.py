@@ -23,7 +23,7 @@ from imm5.invariants import (
 from imm5.surgery import Gamma2Element, HomologyProfile, homology_profile
 from imm5.verify import random_consistent_seifert_data
 
-SPHERE = HomologyProfile.derive(0, ())
+SPHERE = HomologyProfile(0, ())
 
 
 class TestSmaleFormulas:
@@ -108,7 +108,7 @@ class TestIntegerInvariant:
         # with no singular data, i_a is defined exactly when sigma = alpha mod 2
         for sigma in range(-6, 7):
             for alpha in range(4):
-                h = HomologyProfile.derive(0, (2,) * alpha)
+                h = HomologyProfile(0, (2,) * alpha)
                 filling = SeifertFillingR5(sigma, 0)
                 if (sigma - alpha) % 2:
                     with pytest.raises(ParityError):
@@ -148,7 +148,7 @@ class TestConnectedSumAction:
             assert connected_sum_act(f, g) == target
 
     def test_solving_across_components_fails(self):
-        h = HomologyProfile.derive(0, (2,))
+        h = HomologyProfile(0, (2,))
         zero, one = Gamma2Element((0,)), Gamma2Element((1,))
         with pytest.raises(WuMismatch):
             solve_for_summand(RegHomotopyClass(zero, 0),

@@ -46,10 +46,6 @@ class TestHomologyProfile:
         h = homology_profile(presentation("t3"))
         assert h.alpha == 0 and h.gamma2_order == 1
 
-    def test_derive_validates_alpha(self):
-        with pytest.raises(ValueError):
-            HomologyProfile(0, (2,), 0)
-
     def test_stability_under_blowup_and_congruence(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -98,19 +94,19 @@ class TestHomologyProfile:
 
 class TestGamma2:
     def test_trivial_group(self):
-        h = HomologyProfile.derive(0, ())
+        h = HomologyProfile(0, ())
         assert gamma2_elements(h) == [Gamma2Element(())]
 
     def test_order_two(self):
-        h = HomologyProfile.derive(0, (2,))
+        h = HomologyProfile(0, (2,))
         assert [e.coords for e in gamma2_elements(h)] == [(0,), (1,)]
 
     def test_rank_two_enumeration_order(self):
-        h = HomologyProfile.derive(0, (2, 2))
+        h = HomologyProfile(0, (2, 2))
         assert [str(e) for e in gamma2_elements(h)] == ["00", "01", "10", "11"]
 
     def test_zero_first_and_group_laws(self):
-        h = HomologyProfile.derive(1, (2, 4))
+        h = HomologyProfile(1, (2, 4))
         elements = gamma2_elements(h)
         zero = elements[0]
         assert zero.is_zero

@@ -5,16 +5,19 @@ import random
 import pytest
 
 from imm5.errors import HypothesisViolated, MissingData
-from imm5.invariants import ImmersionDoubleData, SeifertFillingR5
-from imm5.verify import (
+from imm5.invariants import (
     ClosedMapRecordR5,
     ClosedMapRecordR6,
+    ImmersionDoubleData,
     PartitionRecord,
+    SeifertFillingR5,
     check_closed_r5,
     check_closed_r6,
     check_cusp_residue,
     check_partition_divisibility,
     check_spin_even_components,
+)
+from imm5.verify import (
     hughes_melvin_sweep,
     invariant_factors_via_minors,
     oracle_gluing,
