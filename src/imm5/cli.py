@@ -16,7 +16,8 @@ Integers may be written as decimal strings of any length and stay
 exact; those larger than 53 bits are written back as decimal strings.
 
 Exit codes: 0 all checks pass, 1 an identity fails, 2 malformed input
-(one ``ParseError: ...`` line on stderr, nothing on stdout).
+(one ``ParseError: ...`` line on stderr, nothing on stdout) or a report
+that cannot be written to stdout (one ``Imm5Error: ...`` line).
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ _QUOTE = reprlib.Repr()
 _QUOTE.maxlevel = 1
 _QUOTE.maxdict = 3
 _QUOTE.maxlong = 30
+
+
+def _label(name: str) -> str:
+    """A record id or coset key as an error message names it: cut in the
+    middle, as _QUOTE cuts a string, when longer than _QUOTE.maxstring.
+    Reports name records whole."""
+    cut = _QUOTE.maxstring
+    if len(name) <= cut:
+        return name
+    head = (cut - 3) // 2
+    return name[:head] + "..." + name[len(name) - (cut - 3 - head):]
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +167,7 @@ def _record(obj, rid: str, cls):
     A field without a default is required and an absent one takes its
     default; each present value is read by the field's declared type.
     """
+    rid = _label(rid)
     if not isinstance(obj, dict):
         raise ParseError(f"{rid}: expected an object, got {_QUOTE.repr(obj)}")
     values = {}
@@ -218,11 +231,11 @@ def parse_manifold(data: dict) -> ManifoldData:
         per_coset: dict[Gamma2Element, frozenset[int]] = {}
         for key, values in block.items():
             coset = parse_wu_coords(key, profile.alpha)
-            sigs = frozenset(_ints(values, f"signatures for coset {key!r}"))
+            sigs = frozenset(_ints(values, f"signatures for coset {_label(key)!r}"))
             for s0 in sigs:
                 if (s0 - profile.alpha) % 2:
                     raise ParityViolation(
-                        f"base signature {_QUOTE.repr(s0)} for coset {key!r} "
+                        f"base signature {_QUOTE.repr(s0)} for coset {_label(key)!r} "
                         f"has the wrong parity (alpha = {profile.alpha})"
                     )
             per_coset[coset] = per_coset.get(coset, frozenset()) | sigs
@@ -308,7 +321,7 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
             if isinstance(obj, dict) and "id" in obj:
                 rid = str(obj["id"])
             if rid in seen:
-                raise ParseError(f"{rid}: duplicate id")
+                raise ParseError(f"{_label(rid)}: duplicate id")
             seen.add(rid)
             records[key].append((rid, _record(obj, rid, cls)))
 
@@ -396,7 +409,7 @@ def _filling_values(sd: SeifertData, want_ia: bool,
             for rid, rec in sd.fillings_r6:
                 values.append(("i_b", rid, i_b(rec, sd.double_data, h)))
     except ParityError as exc:
-        raise ParityError(f"record {rid}: {exc}") from exc
+        raise ParityError(f"record {_label(rid)}: {exc}") from exc
     return values
 
 
@@ -613,10 +626,18 @@ def render_verify(rep: dict) -> str:
 # ----------------------------------------------------------------------
 
 def _emit(rep: dict, renderer, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(to_jsonable(rep), indent=2, ensure_ascii=False))
-    else:
-        print(renderer(rep))
+    text = (json.dumps(to_jsonable(rep), indent=2, ensure_ascii=False) if as_json
+            else renderer(rep))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk, a closed pipe
+        # what is left in the buffer goes to the null device, so the
+        # interpreter's flush at exit reports nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise Imm5Error(f"cannot write the report to stdout ({exc.strerror})") from None
 
 
 def _cmd_analyze(args) -> int:

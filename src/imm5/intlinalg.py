@@ -1,15 +1,19 @@
 """Exact linear algebra over Z and Z2.
 
 This module is the computational substrate for everything else: Smith
-normal form, fraction-free signatures of symmetric integer matrices
-and determinants, and GF(2) linear algebra on Python int bitmask rows.
-One Smith pivot loop serves two routines: ``smith_normal_form`` with
-both unimodular transforms, and ``smith_mod2`` with the invariant
-factors and the left transform mod 2 only, so no transform entry grows.
-The signature is symmetric Bareiss elimination in integers.  Over Z2 a
-matrix row is an int whose bit j holds column j, row addition is XOR,
-and one Gauss-Jordan loop serves both ``solve_mod2`` and
-``inverse_mod2``.  A solution set is streamed as bitmasks
+normal form, invariant factors modulo the determinant, fraction-free
+signatures of symmetric integer matrices and determinants, and GF(2)
+linear algebra on Python int bitmask rows.  One Smith pivot loop serves
+two routines: ``smith_normal_form`` with both unimodular transforms, and
+``smith_mod2`` with the invariant factors and the left transform mod 2
+only, so no transform entry grows.  The signature is one symmetric
+Bareiss pass in integers, which also yields det q and an (n-1)-minor;
+for a nonsingular q, ``_factors_mod_det`` finds the invariant factors
+by elimination modulo a divisor of det q, so no entry exceeds it, and
+hands only a small non-unit block to the Smith loop.  Over Z2 a matrix
+row is an int whose bit j holds column j, row addition is XOR, and one
+Gauss-Jordan loop serves ``solve_mod2``, ``inverse_mod2`` and the
+kernel of q mod 2.  A solution set is streamed as bitmasks
 (``Mod2Solution.masks``) and unpacked to 0/1 tuples through a byte table
 only where a caller asks for tuples.  All integer arithmetic is
 arbitrary precision and neither fractions nor floating point are used.
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from math import gcd, prod
 from operator import xor
 from typing import Iterator, Sequence
 
@@ -330,6 +335,56 @@ def smith_mod2(a: IntSymMatrix | Rows) -> SmithMod2:
     return SmithMod2(factors, tuple(u.rows))
 
 
+def _factors_mod_det(a: IntSymMatrix | Rows, d: int, minor: int) -> tuple[int, ...]:
+    """Invariant factors of a square integer matrix a with |det a| = d > 0.
+
+    ``minor`` is any multiple of the gcd of the (n-1)-minors of a: one
+    (n-1)-minor of a matrix unimodularly equivalent to a, or 0.  That
+    gcd is the product of every factor but the last, so each of those
+    divides m = gcd(d, minor) and is found modulo m; the last factor is
+    d over their product.
+
+    coker(a) (x) Z/m is the cokernel of a over Z/m, and any row operation
+    invertible mod m keeps it (Domich, Kannan and Trotter 1987; Hafner
+    and McCurley 1991).  Column by column, an entry x with gcd(x, m) = 1
+    is a pivot: one inverse of x mod m clears the column from the rows
+    with a nonzero entry there, and the pivot row and column leave as a
+    factor 1 with no column work.  The rows left over, restricted to the
+    columns that had no unit entry, form a small block; its Smith
+    diagonal s gives the factors gcd(s_i, m), with gcd(0, m) = m.  No
+    entry ever exceeds m.  The result is the tuple
+    ``smith_mod2(a).invariant_factors``.
+    """
+    rows = _as_row_lists(a)
+    n = len(rows)
+    m = gcd(d, minor)
+    factors = [1] * n
+    if m > 1:
+        live = [[x % m for x in row] for row in rows]
+        skipped: list[int] = []  # columns with no unit entry in a live row
+        for c in range(n):
+            r = next((i for i, row in enumerate(live) if gcd(row[c], m) == 1), None)
+            if r is None:
+                skipped.append(c)
+                continue
+            prow = live.pop(r)
+            inv = pow(prow[c], -1, m)
+            ptail = prow[c + 1:]
+            for row in live:
+                x = row[c]
+                if x:
+                    f = x * inv % m
+                    row[c + 1:] = [(y - f * z) % m for y, z in zip(row[c + 1:], ptail)]
+                    for j in skipped:
+                        row[j] = (row[j] - f * prow[j]) % m
+        block = [[row[j] for j in skipped] for row in live]
+        # _smith_reduce replays its row operations on a u this routine drops
+        diagonal = _smith_reduce(block, _Mod2Rows(len(block)), None)
+        factors[n - len(block):] = [gcd(s, m) for s in diagonal]
+    head = tuple(factors[:-1])
+    return head + (d // prod(head),) if n else ()
+
+
 # ----------------------------------------------------------------------
 # Signature (fraction-free symmetric Bareiss elimination)
 # ----------------------------------------------------------------------
@@ -344,7 +399,17 @@ def signature(a: IntSymMatrix | Rows) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
     Returns (#positive - #negative eigenvalues) by symmetric congruence
-    reduction in integers only (Bareiss 1968).  After a pivot p the
+    reduction in integers only; see ``_signature_det``.  The empty
+    matrix has signature 0.
+    """
+    return _signature_det(_as_row_lists(a))[0]
+
+
+def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
+    """(signature, determinant, an (n-1)-minor) of the symmetric matrix
+    M, consumed.
+
+    Symmetric Bareiss elimination (Bareiss 1968).  After a pivot p the
     trailing block holds p times the Schur complement, so the next step
     divides exactly by p, and the rational pivot the step stands for is
     new/p: positive when the new pivot has the sign of p.
@@ -353,14 +418,19 @@ def signature(a: IntSymMatrix | Rows) -> int:
     is and remembers the pivot ``level[i]`` it was last scaled by, so a
     sparse matrix costs little more than its nonzero entries.  Row i
     times (current pivot) / level[i] is its value in the current block,
-    an integer because every such entry is a bordered minor.  The empty
-    matrix has signature 0.
+    an integer because every such entry is a bordered minor.
+
+    The symmetric swap and the hyperbolic "mate" step are congruences by
+    unimodular matrices, so the pivots are the leading minors of a
+    matrix unimodularly congruent to M: the last is det M unless a zero
+    row turned up, when det M = 0, and the one before it (1 when n <= 1)
+    is an (n-1)-minor of that matrix.
     """
-    M = _as_row_lists(a)
     n = len(M)
     level = [1] * n
-    prev = 1
+    prev = minor = 1
     pos = neg = 0
+    singular = False
     t = 0
     while t < n:
         if M[t][t] == 0:
@@ -375,6 +445,7 @@ def signature(a: IntSymMatrix | Rows) -> int:
                 mate = next((j for j in range(t + 1, n) if M[t][j] != 0), None)
                 if mate is None:
                     # zero row: a zero eigenvalue, no signature contribution
+                    singular = True
                     t += 1
                     continue
                 # all remaining diagonal entries vanish, so this makes
@@ -395,17 +466,18 @@ def signature(a: IntSymMatrix | Rows) -> int:
             pos += 1
         else:
             neg += 1
+        ptail = piv[t + 1:]
         for i in range(t + 1, n):
             row = M[i]
             c = row[t]
             if c:
                 lv = level[i]
                 row[t + 1:] = [(p * x - c * y) // lv
-                               for x, y in zip(row[t + 1:], piv[t + 1:])]
+                               for x, y in zip(row[t + 1:], ptail)]
                 level[i] = p
-        prev = p
+        minor, prev = prev, p
         t += 1
-    return pos - neg
+    return pos - neg, 0 if singular else prev, minor
 
 
 # ----------------------------------------------------------------------

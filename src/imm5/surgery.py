@@ -1,18 +1,32 @@
 """Surgery presentations of closed oriented 3-manifolds.
 
 A manifold enters as the linking matrix q of a framed link (framings on
-the diagonal).  Everything homological is read off the Smith normal
-form of q: H1 = coker(q), its free rank and torsion, the count alpha of
-even torsion factors, and the 2-torsion subgroup Gamma2 of H^2 that
+the diagonal).  Everything homological is read off the invariant
+factors of q: H1 = coker(q), its free rank and torsion, the count alpha
+of even torsion factors, and the 2-torsion subgroup Gamma2 of H^2 that
 indexes the Wu classes.  H^2 is identified with H1 throughout via
 Poincare duality, so only the group structure is ever represented.
 
-Each presentation runs the Smith elimination once, lazily, and keeps
-only what its readers need: the invariant factors and the left
-transform u mod 2 (``SurgeryPresentation.smith``), and from them the
-Gamma2 generators as bitmasks (``SurgeryPresentation.gamma2_generators``).
+Each presentation computes H1 once, lazily, by one of two routes, and
+keeps only what its readers need: the invariant factors and the Gamma2
+generators as bitmasks (``SurgeryPresentation.gamma2_generators``).
+
+* When det q != 0 and ker(q mod 2) has at most two elements, the factors
+  are computed modulo a divisor of |det q| (``_factors_mod_det``), with
+  det q and an (n-1)-minor from the signature pass, and betti1 = 0.
+  Then H^1(M; Z2) = ker(q mod 2) = {0, k} maps isomorphically onto
+  Gamma2, of rank alpha <= 1, so a spin difference delta has the one Wu
+  coordinate [delta = k] whatever basis Gamma2 is given: the single
+  generator is the lowest set bit of k, and alpha = 0 has none.
+* Otherwise (q singular, or alpha >= 2) the Smith elimination runs
+  (``SurgeryPresentation.smith``) with its left transform u mod 2, and
+  the generators are Smith generators.  For alpha >= 2 the coordinates
+  depend on that basis, and files key ``spin_boundary_signatures`` by
+  them.
+
 It also keeps q mod 2 as row bitmasks and a diagonal mask
-(``SurgeryPresentation.q_mod2``) for the characteristic-sublink test.
+(``SurgeryPresentation.q_mod2``) for the characteristic-sublink test and
+for ker(q mod 2).
 """
 
 from __future__ import annotations
@@ -22,7 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .intlinalg import (
-    IntSymMatrix, SmithMod2, _mask, inverse_mod2, signature, smith_mod2,
+    IntSymMatrix, SmithMod2, _factors_mod_det, _gauss_jordan_mod2, _mask,
+    _signature_det, inverse_mod2, signature, smith_mod2,
 )
 
 
@@ -38,9 +53,30 @@ class SurgeryPresentation:
         return self.q.n
 
     @cached_property
+    def _mod_det(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(invariant factors of q, Gamma2 generators) when det q != 0 and
+        ker(q mod 2) has at most two elements; None otherwise, when the
+        Smith route serves q."""
+        rows = list(self.q_mod2[0])
+        pivots = _gauss_jordan_mod2(rows, self.n)
+        if len(pivots) < self.n - 1:
+            return None
+        _, det, minor = _signature_det(self.q.row_lists())
+        if det == 0:
+            return None
+        generators: tuple[int, ...] = ()
+        if len(pivots) < self.n:
+            # k: x_f = 1 at the free column f, x_c = bit f of pivot row c
+            f = next(c for c, p in enumerate(pivots + [self.n]) if c != p)
+            k = 1 << f | sum(((row >> f) & 1) << c for row, c in zip(rows, pivots))
+            generators = (k & -k,)
+        return _factors_mod_det(self.q, abs(det), minor), generators
+
+    @cached_property
     def smith(self) -> SmithMod2:
         """Invariant factors of q and u mod 2, with u q v = s its Smith
-        form; computed on first use and kept with the presentation."""
+        form; computed on first use, for the presentations the mod-det
+        route does not serve, and kept with the presentation."""
         return smith_mod2(self.q)
 
     @cached_property
@@ -53,9 +89,16 @@ class SurgeryPresentation:
     @cached_property
     def gamma2_generators(self) -> tuple[int, ...]:
         """One bitmask over the link components per even torsion factor,
-        in Smith order: column i of u^{-1} mod 2, i.e. the Smith
-        generator g_i = u^{-1} e_i reduced mod 2.  A class delta in
-        H^1(M; Z2) has Gamma2 coordinate i equal to delta(g_i)."""
+        in Smith order; a class delta in H^1(M; Z2) has Gamma2
+        coordinate i equal to delta(g_i).
+
+        With alpha <= 1 and q nonsingular, g is the lowest set bit of the
+        nonzero k in ker(q mod 2), if there is one.  Otherwise g_i is
+        column i of u^{-1} mod 2, i.e. the Smith generator u^{-1} e_i
+        reduced mod 2."""
+        route = self._mod_det
+        if route is not None:
+            return route[1]
         inv = inverse_mod2(self.smith.u_mod2, self.n)
         return tuple(sum(((row >> i) & 1) << j for j, row in enumerate(inv))
                      for i in even_torsion_positions(self.smith.invariant_factors))
@@ -128,8 +171,11 @@ class Gamma2Element:
 
 
 def homology_profile(p: SurgeryPresentation) -> HomologyProfile:
-    """H1 of the presented manifold, as coker(q) read off the Smith form."""
-    factors = p.smith.invariant_factors
+    """H1 of the presented manifold, as coker(q) read off its invariant
+    factors: computed modulo a divisor of |det q| when q is nonsingular
+    and ker(q mod 2) has at most two elements, else by the Smith form."""
+    route = p._mod_det
+    factors = route[0] if route is not None else p.smith.invariant_factors
     betti1 = sum(1 for d in factors if d == 0)
     torsion = tuple(d for d in factors if d >= 2)
     return HomologyProfile(betti1, torsion)

@@ -404,6 +404,29 @@ class TestFileFormats:
         code, out, err = run(capsys, "verify", write_json(tmp_path, "r.json", payload))
         assert (code, out, err) == (2, "", f"ParseError: {message}\n")
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify"], {"manifold": "t3",
+                      "fillings_r5": [{"id": "x" * 5000, "sigma": "bad",
+                                       "cusps_algebraic": 0}]}),
+        (["verify"], {"closed_records_r6": [{"id": "y" * 5000, "sigma": 0}]}),
+        (["verify"], {"manifold": "t3",
+                      "fillings_r5": [{"id": "w" * 5000, "sigma": 8,
+                                       "cusps_algebraic": 0}] * 2}),
+        (["invariant", "--ia"], {"manifold": "t3",
+                                 "fillings_r5": [{"id": "z" * 5000, "sigma": 1,
+                                                  "cusps_algebraic": 0}]}),
+        # keys that read as the trivial coset once spaces and commas go
+        (["verify"], {"manifold": {"linking_matrix": [[0]],
+                                   "spin_boundary_signatures": {" " * 5000 + "0": ["x"]}}}),
+        (["verify"], {"manifold": {"linking_matrix": [[0]],
+                                   "spin_boundary_signatures": {"," * 5000 + "0": [1]}}}),
+    ], ids=["field-of-long-id", "missing-field-of-long-id", "duplicate-long-id",
+            "parity-of-long-id", "value-of-long-coset", "parity-of-long-coset"])
+    def test_long_labels_are_shortened(self, capsys, tmp_path, argv, payload):
+        code, out, err = run(capsys, *argv, write_json(tmp_path, "r.json", payload))
+        assert code in (1, 2) and out == ""
+        assert err.count("\n") == 1 and len(err) <= 300, err[:400]
+
     @pytest.mark.parametrize("command, case", [
         ("analyze", "directory"), ("analyze", "not-utf8"),
         ("verify", "directory"), ("verify", "not-utf8"),
@@ -522,3 +545,30 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c",
          "import imm5.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True)
+
+
+@pytest.mark.parametrize("target", ["full", "closed-pipe"])
+def test_unwritable_stdout_exits_2(target):
+    """A report that cannot reach stdout ends in one stderr line and exit 2,
+    with no traceback and nothing from the interpreter's flush at exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
+    argv = [sys.executable, "-m", "imm5.cli", "verify", "--corollaries", "--json"]
+    if target == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        reason = os.strerror(28)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        reason = os.strerror(32)
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == 2
+    assert err == f"Imm5Error: cannot write the report to stdout ({reason})\n"

@@ -14,11 +14,20 @@ masks) is checked against the former tuple routines, kept here verbatim.
 
 Four seeded families of 2,500 matrices each cover general, singular,
 zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
+
+H1 as ``homology_profile`` computes it (factors modulo the determinant
+and the generator read off ker(q mod 2) when q is nonsingular and
+alpha <= 1, the Smith route otherwise) is checked against ``smith_mod2``
+with ``inverse_mod2`` on 10,000 instances in five families: random
+symmetric, plumbing trees, singular, alpha >= 2 block sums, and
+diagonals sharing odd primes, whose factors modulo the determinant
+leave a non-unit block.
 """
 
 import random
 import itertools
 from fractions import Fraction
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -29,6 +38,10 @@ from imm5.intlinalg import (
     IntSymMatrix,
     Mod2Solution,
     _as_row_lists,
+    _factors_mod_det,
+    _signature_det,
+    det_int,
+    inverse_mod2,
     signature,
     smith_mod2,
     smith_normal_form,
@@ -52,6 +65,8 @@ PER_FAMILY = 2500
 FAMILIES = ("general", "singular", "zero_diagonal", "even_torsion")
 SYSTEMS = 12000
 SPIN_CASES = 10000
+ROUTE_FAMILIES = ("random", "plumbing", "singular", "alpha2", "shared_primes")
+ROUTE_CASES = 10000
 
 
 def fraction_signature(a) -> int:
@@ -256,6 +271,84 @@ def test_smith_mod2_matches_full_transform(family):
         fast = smith_mod2(rows)
         assert fast.invariant_factors == full.invariant_factors, rows
         assert fast.u_mod2 == tuple(_mask(r) for r in full.u), rows
+
+
+def route_instance(family: str, rng: random.Random) -> list[list[int]]:
+    if family == "random":
+        n = rng.randint(0, 10) if rng.random() < 0.95 else rng.randint(11, 20)
+        return _symmetric(rng, n, -5, 5)
+    if family == "plumbing":
+        # a plumbing tree: framings on the diagonal, 1 on each edge
+        n = rng.randint(1, 20)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(-6, 6)
+            if i:
+                j = i - 1 if rng.random() < 0.5 else rng.randrange(i)
+                rows[i][j] = rows[j][i] = 1
+        return rows
+    if family == "singular":
+        return instance("singular", rng)
+    if family == "alpha2":
+        return instance("even_torsion", rng)
+    # shared_primes: odd primes repeated across the diagonal, and at most
+    # one even entry, so alpha <= 1 and the odd part of H1 is not cyclic
+    n = rng.randint(2, 8)
+    diag = [rng.choice((1, -1, 3, -3, 9, 5, 15, -45, 27)) for _ in range(n)]
+    if rng.random() < 0.5:
+        diag[rng.randrange(n)] *= rng.choice((2, 4, -2))
+    return _congruent_diagonal(rng, diag)
+
+
+def smith_route(rows):
+    """Factors and Gamma2 generators as the Smith route alone gives them:
+    ``smith_mod2`` and the columns of u^{-1} mod 2."""
+    ref = smith_mod2(rows)
+    inv = inverse_mod2(ref.u_mod2, len(rows))
+    gens = tuple(sum(((row >> i) & 1) << j for j, row in enumerate(inv))
+                 for i in even_torsion_positions(ref.invariant_factors))
+    return ref.invariant_factors, gens
+
+
+def test_homology_routes_match_smith_route():
+    rng = random.Random("homology-routes")
+    mod_det = alpha1 = block = modulus = smith = wu_checked = 0
+    for k in range(ROUTE_CASES):
+        rows = route_instance(ROUTE_FAMILIES[k % len(ROUTE_FAMILIES)], rng)
+        factors, gens = smith_route(rows)
+        p = SurgeryPresentation("d", IntSymMatrix(rows))
+        h = homology_profile(p)
+        assert h.betti1 == factors.count(0), rows
+        assert h.torsion_factors == tuple(d for d in factors if d >= 2), rows
+        assert h.alpha == len(gens), rows
+
+        _, det, minor = _signature_det([list(r) for r in rows])
+        assert det == det_int(rows), rows
+        if det:
+            # homology_profile ran the factors modulo gcd(det, minor) when
+            # alpha <= 1; here the whole determinant is the modulus
+            assert minor % prod(factors[:-1]) == 0, rows
+            if k % 3 == 0:
+                assert _factors_mod_det(rows, abs(det), 0) == factors, rows
+
+        if p._mod_det is None:
+            smith += 1
+        else:
+            mod_det += 1
+            alpha1 += h.alpha == 1
+            block += len(h.torsion_factors) >= 2
+            modulus += gcd(det, minor) > 1
+        if h.alpha <= 1:
+            spins = spin_structures(p)
+            for _ in range(6):
+                s1, s2 = rng.choice(spins), rng.choice(spins)
+                delta = _mask(s1.c) ^ _mask(s2.c)
+                want = tuple((delta & g).bit_count() & 1 for g in gens)
+                assert wu_coset_of_difference(p, s1, s2).value.coords == want, rows
+                wu_checked += any(want)
+    assert mod_det >= 5000 and smith >= 4000
+    assert alpha1 >= 2000 and block >= 1500 and modulus >= 2500
+    assert wu_checked >= 8000
 
 
 def test_families_cover_the_special_cases():
