@@ -73,7 +73,6 @@ from .surgery import (
     gamma2_elements,
     homology_profile,
     is_even_presentation,
-    signature_of_trace,
 )
 
 __version__ = "0.1.0"
@@ -121,7 +120,6 @@ __all__ = [
     "rohlin_compatible",
     "seifert_signature_criterion",
     "signature",
-    "signature_of_trace",
     "smale_via_seifert_r5",
     "smale_via_seifert_r6",
     "smith_mod2",

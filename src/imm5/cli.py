@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import re
-import reprlib
 import sys
 from dataclasses import MISSING, dataclass, fields
 from math import gcd
@@ -37,6 +36,7 @@ from .embeddings import (
     is_embedding_class,
 )
 from .errors import (
+    _QUOTE,
     CosetUncovered,
     Imm5Error,
     ParityError,
@@ -74,13 +74,6 @@ from .surgery import (
 SEED_ENV = "IMM5_SEED"
 INT_STRING_BOUND = 2 ** 53
 _INT_RE = re.compile(r"-?[0-9]+$")
-
-# Quotes an offending input value in an error message in at most about 200
-# characters: nested containers show as [...], long scalars lose their middle.
-_QUOTE = reprlib.Repr()
-_QUOTE.maxlevel = 1
-_QUOTE.maxdict = 3
-_QUOTE.maxlong = 30
 
 
 def _label(name: str) -> str:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how messages quote values."""
+
+import reprlib
+
+# Quotes an offending input value in an error message in at most about 200
+# characters: nested containers show as [...], long scalars lose their middle.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 1
+_QUOTE.maxdict = 3
+_QUOTE.maxlong = 30
 
 
 class Imm5Error(Exception):

@@ -1,19 +1,19 @@
-"""Exact linear algebra over Z and Z2.
+"""Exact linear algebra over Z and Z2, and the one place that knows how
+a matrix is reduced.
 
-This module is the computational substrate for everything else: Smith
-normal form, invariant factors modulo the determinant, fraction-free
-signatures of symmetric integer matrices and determinants, and GF(2)
-linear algebra on Python int bitmask rows.  One Smith pivot loop serves
-two routines: ``smith_normal_form`` with both unimodular transforms, and
-``smith_mod2`` with the invariant factors and the left transform mod 2
-only, so no transform entry grows.  The signature is one symmetric
-Bareiss pass in integers, which also yields det q and an (n-1)-minor;
-for a nonsingular q, ``_factors_mod_det`` finds the invariant factors
-by elimination modulo a divisor of det q, so no entry exceeds it, and
-hands only a small non-unit block to the Smith loop.  Over Z2 a matrix
-row is an int whose bit j holds column j, row addition is XOR, and one
-Gauss-Jordan loop serves ``solve_mod2``, ``inverse_mod2`` and the
-kernel of q mod 2.  A solution set is streamed as bitmasks
+Smith normal form, invariant factors modulo the determinant, signatures
+and determinants, and GF(2) linear algebra on int bitmask rows.  One
+Smith pivot loop serves ``smith_normal_form``, with both unimodular
+transforms, and ``smith_mod2``, with the factors and u mod 2 only, so no
+transform entry grows.  An ``IntSymMatrix`` q is reduced once over Z and
+once over Z2, on first use, and keeps both results: one symmetric
+Bareiss pass gives the signature, det q and an (n-1)-minor, from which
+``_factors_mod_det`` finds the factors of a nonsingular q modulo a
+divisor of det q; one Gauss-Jordan pass on q mod 2, augmented by diag q
+mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
+is an int whose bit j holds column j and row addition is XOR; one
+Gauss-Jordan loop serves that pass, ``solve_mod2`` and
+``inverse_mod2``.  A solution set is streamed as bitmasks
 (``Mod2Solution.masks``) and unpacked to 0/1 tuples through a byte table
 only where a caller asks for tuples.  All integer arithmetic is
 arbitrary precision and neither fractions nor floating point are used.
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, prod
 from operator import xor
 from typing import Iterator, Sequence
 
-from .errors import AsymmetricMatrix, NoSolution
+from .errors import _QUOTE, AsymmetricMatrix, NoSolution
 
 Rows = Sequence[Sequence[int]]
 
@@ -37,10 +37,9 @@ class IntSymMatrix:
     """A symmetric matrix of arbitrary-precision integers.
 
     Symmetry is enforced at construction.  The empty (0x0) matrix is a
-    legal value: it presents the empty link, hence the 3-sphere.
+    legal value: it presents the empty link, hence the 3-sphere.  Its two
+    reductions (``_over_z``, ``_over_z2``) run on first use and are kept.
     """
-
-    __slots__ = ("entries",)
 
     def __init__(self, rows: Rows):
         entries = tuple(tuple(int(x) for x in row) for row in rows)
@@ -52,8 +51,8 @@ class IntSymMatrix:
             for j in range(i):
                 if entries[i][j] != entries[j][i]:
                     raise AsymmetricMatrix(
-                        f"entry ({i},{j}) = {entries[i][j]} differs from "
-                        f"entry ({j},{i}) = {entries[j][i]}"
+                        f"entry ({i},{j}) = {_QUOTE.repr(entries[i][j])} differs "
+                        f"from entry ({j},{i}) = {_QUOTE.repr(entries[j][i])}"
                     )
         self.entries: tuple[tuple[int, ...], ...] = entries
 
@@ -66,6 +65,23 @@ class IntSymMatrix:
 
     def row_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
+
+    @cached_property
+    def _over_z(self) -> tuple[int, int, int]:
+        """(signature, det, an (n-1)-minor) from the one symmetric Bareiss
+        pass (``_signature_det``)."""
+        return _signature_det(self.row_lists())
+
+    @cached_property
+    def _over_z2(self) -> tuple[tuple[int, ...], int, Mod2Solution]:
+        """(rows of q mod 2 as bitmasks, diag q mod 2 as one bitmask, the
+        solution of q c = diag q mod 2) from one Gauss-Jordan pass.  Pivots
+        fall on columns < n only, so the solution is the one
+        ``solve_mod2(entries, diagonal)`` gives."""
+        rows = tuple(map(_mask, self.entries))
+        diagonal = _mask(self.diagonal())
+        aug = [row | ((diagonal >> i) & 1) << self.n for i, row in enumerate(rows)]
+        return rows, diagonal, _solve_augmented(aug, self.n)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntSymMatrix) and self.entries == other.entries
@@ -400,8 +416,10 @@ def signature(a: IntSymMatrix | Rows) -> int:
 
     Returns (#positive - #negative eigenvalues) by symmetric congruence
     reduction in integers only; see ``_signature_det``.  The empty
-    matrix has signature 0.
+    matrix has signature 0.  An ``IntSymMatrix`` keeps its pass.
     """
+    if isinstance(a, IntSymMatrix):
+        return a._over_z[0]
     return _signature_det(_as_row_lists(a))[0]
 
 
@@ -594,7 +612,12 @@ def solve_mod2(m: IntSymMatrix | Rows, b: Sequence[int]) -> Mod2Solution:
     if len(rhs) != nrows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
     # [m | b]: b rides in bit ncols
-    aug = [_mask(row) | (x << ncols) for row, x in zip(A, rhs)]
+    return _solve_augmented([_mask(row) | (x << ncols) for row, x in zip(A, rhs)], ncols)
+
+
+def _solve_augmented(aug: list[int], ncols: int) -> Mod2Solution:
+    """The solution of [m | b], given as bitmask rows with b in bit
+    ``ncols``; the rows are reduced in place."""
     pivots = _gauss_jordan_mod2(aug, ncols)
     if any(row >> ncols for row in aug[len(pivots):]):
         raise NoSolution("right-hand side is outside the column space")

@@ -4,15 +4,16 @@ A spin structure on the presented manifold is a Z2 vector c over the
 link components with q c = diag(q) mod 2.  The solution set realises
 H^1(M; Z2) as a torsor; the quotient map onto
 H^1(M; Z2) / rho(H^1(M; Z)) = Gamma2(M) is computed on differences of
-two spin structures by evaluating them on the Gamma2 generators, the
-columns of u^{-1} mod 2 that the presentation computes once and keeps.
+two spin structures by evaluating them on the Gamma2 generators that the
+presentation computes once and keeps.
 
 Spin vectors are int bitmasks (bit j is c_j mod 2) everywhere inside:
-the affine solution space is streamed as masks and each mask is unpacked
-to a ``SpinStructure`` tuple once.  The characteristic test XORs the
-rows of q mod 2 that the presentation caches at the set bits of c and
-compares the result with the cached diagonal mask; it yields the mask of
-c, and a difference of two spin structures is the XOR of their masks.
+the solution that q keeps from its one Z2 reduction is streamed as masks
+and each mask is unpacked to a ``SpinStructure`` tuple once.  The
+characteristic test XORs the rows of q mod 2 kept with that reduction
+at the set bits of c and compares the result with the kept diagonal
+mask; it yields the mask of c, and a difference of two spin structures
+is the XOR of their masks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSpinStructure
-from .intlinalg import solve_mod2
 from .surgery import Gamma2Element, SurgeryPresentation
 
 
@@ -47,7 +47,7 @@ def _characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None
     """
     if len(s.c) != p.n:
         return None
-    rows, diagonal = p.q_mod2
+    rows, diagonal, _ = p.q._over_z2
     x = acc = 0
     for j, (bit, row) in enumerate(zip(s.c, rows)):
         if bit & 1:
@@ -68,9 +68,7 @@ def spin_structures(p: SurgeryPresentation) -> list[SpinStructure]:
     matrix lies in its column space), and the solution count is
     2**(betti1 + alpha).
     """
-    b = [d % 2 for d in p.q.diagonal()]
-    sol = solve_mod2(p.q.entries, b)
-    return list(map(SpinStructure, sol.solutions()))
+    return list(map(SpinStructure, p.q._over_z2[2].solutions()))
 
 
 def wu_coset_of_difference(
@@ -78,12 +76,12 @@ def wu_coset_of_difference(
 ) -> WuCoset:
     """Map the difference s1 - s2 in H^1(M; Z2) to its Wu coset.
 
-    With u q v = s the Smith decomposition, the difference delta
-    descends to the functional x -> delta.x on H1 = coker(q).  Its
-    values on the Smith generators g_i = u^{-1} e_i at the even torsion
-    positions are the Gamma2 coordinates of the coset; each is the
-    parity of delta against the cached bitmask of g_i mod 2.  The
-    resulting map is onto Gamma2 with fibres of size 2**betti1.
+    The difference delta descends to the functional x -> delta.x on
+    H1 = coker(q).  Its values on the kept Gamma2 generators g_i mod 2
+    (``SurgeryPresentation.gamma2_generators``: the lowest set bit of
+    the nonzero k in ker(q mod 2) when q is nonsingular and alpha <= 1,
+    else the Smith generators u^{-1} e_i) are the Gamma2 coordinates of
+    the coset.  The map is onto Gamma2 with fibres of size 2**betti1.
     """
     delta = 0
     for s in (s1, s2):

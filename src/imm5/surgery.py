@@ -7,26 +7,23 @@ of even torsion factors, and the 2-torsion subgroup Gamma2 of H^2 that
 indexes the Wu classes.  H^2 is identified with H1 throughout via
 Poincare duality, so only the group structure is ever represented.
 
-Each presentation computes H1 once, lazily, by one of two routes, and
-keeps only what its readers need: the invariant factors and the Gamma2
-generators as bitmasks (``SurgeryPresentation.gamma2_generators``).
+q is reduced once over Z and once over Z2 by ``intlinalg``, and each
+presentation reads H1 off those two results once, lazily, by one of two
+routes, keeping the invariant factors and the Gamma2 generators as
+bitmasks (``SurgeryPresentation.gamma2_generators``).
 
 * When det q != 0 and ker(q mod 2) has at most two elements, the factors
-  are computed modulo a divisor of |det q| (``_factors_mod_det``), with
-  det q and an (n-1)-minor from the signature pass, and betti1 = 0.
-  Then H^1(M; Z2) = ker(q mod 2) = {0, k} maps isomorphically onto
-  Gamma2, of rank alpha <= 1, so a spin difference delta has the one Wu
-  coordinate [delta = k] whatever basis Gamma2 is given: the single
-  generator is the lowest set bit of k, and alpha = 0 has none.
+  are computed modulo a divisor of |det q| (``_factors_mod_det``), and
+  betti1 = 0.  Then H^1(M; Z2) = ker(q mod 2) = {0, k} maps
+  isomorphically onto Gamma2, of rank alpha <= 1, so a spin difference
+  delta has the one Wu coordinate [delta = k] whatever basis Gamma2 is
+  given: the single generator is the lowest set bit of k, and alpha = 0
+  has none.
 * Otherwise (q singular, or alpha >= 2) the Smith elimination runs
   (``SurgeryPresentation.smith``) with its left transform u mod 2, and
   the generators are Smith generators.  For alpha >= 2 the coordinates
   depend on that basis, and files key ``spin_boundary_signatures`` by
   them.
-
-It also keeps q mod 2 as row bitmasks and a diagonal mask
-(``SurgeryPresentation.q_mod2``) for the characteristic-sublink test and
-for ker(q mod 2).
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .intlinalg import (
-    IntSymMatrix, SmithMod2, _factors_mod_det, _gauss_jordan_mod2, _mask,
-    _signature_det, inverse_mod2, signature, smith_mod2,
+    IntSymMatrix, SmithMod2, _factors_mod_det, inverse_mod2, smith_mod2,
 )
 
 
@@ -57,19 +53,14 @@ class SurgeryPresentation:
         """(invariant factors of q, Gamma2 generators) when det q != 0 and
         ker(q mod 2) has at most two elements; None otherwise, when the
         Smith route serves q."""
-        rows = list(self.q_mod2[0])
-        pivots = _gauss_jordan_mod2(rows, self.n)
-        if len(pivots) < self.n - 1:
+        kernel = self.q._over_z2[2].kernel
+        if len(kernel) > 1:
             return None
-        _, det, minor = _signature_det(self.q.row_lists())
+        _, det, minor = self.q._over_z
         if det == 0:
             return None
-        generators: tuple[int, ...] = ()
-        if len(pivots) < self.n:
-            # k: x_f = 1 at the free column f, x_c = bit f of pivot row c
-            f = next(c for c, p in enumerate(pivots + [self.n]) if c != p)
-            k = 1 << f | sum(((row >> f) & 1) << c for row, c in zip(rows, pivots))
-            generators = (k & -k,)
+        # the lowest set bit of the nonzero k in ker(q mod 2)
+        generators = tuple(1 << k.index(1) for k in kernel)
         return _factors_mod_det(self.q, abs(det), minor), generators
 
     @cached_property
@@ -78,13 +69,6 @@ class SurgeryPresentation:
         form; computed on first use, for the presentations the mod-det
         route does not serve, and kept with the presentation."""
         return smith_mod2(self.q)
-
-    @cached_property
-    def q_mod2(self) -> tuple[tuple[int, ...], int]:
-        """q mod 2 as row bitmasks (bit j of row i is q_ij mod 2), and its
-        diagonal as one bitmask (bit i is q_ii mod 2); kept with the
-        presentation."""
-        return tuple(map(_mask, self.q.entries)), _mask(self.q.diagonal())
 
     @cached_property
     def gamma2_generators(self) -> tuple[int, ...]:
@@ -194,11 +178,6 @@ def even_torsion_positions(invariant_factors: tuple[int, ...]) -> list[int]:
     (d_i/2) g_i of coker(q) for each even invariant factor d_i.
     """
     return [i for i, d in enumerate(invariant_factors) if d != 0 and d % 2 == 0]
-
-
-def signature_of_trace(p: SurgeryPresentation) -> int:
-    """Signature of the 4-manifold the framed link presents."""
-    return signature(p.q)
 
 
 def is_even_presentation(p: SurgeryPresentation) -> bool:

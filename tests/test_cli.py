@@ -427,6 +427,14 @@ class TestFileFormats:
         assert code in (1, 2) and out == ""
         assert err.count("\n") == 1 and len(err) <= 300, err[:400]
 
+    @pytest.mark.parametrize("command", ["analyze", "embeddings"])
+    def test_long_asymmetric_entry_is_quoted(self, capsys, tmp_path, command):
+        path = write_json(tmp_path, "m.json", {"linking_matrix": [[0, "7" * 6000], [1, 0]]})
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("AsymmetricMatrix: ") and err.count("\n") == 1
+        assert len(err) <= 300, err[:400]
+
     @pytest.mark.parametrize("command, case", [
         ("analyze", "directory"), ("analyze", "not-utf8"),
         ("verify", "directory"), ("verify", "not-utf8"),

@@ -1,11 +1,14 @@
 """Homology profiles from linking matrices."""
 
 import random
+import sys
 
 import pytest
 
+from imm5 import intlinalg
+from imm5.cli import parse_manifold
 from imm5.fixtures import e8_form, presentation
-from imm5.intlinalg import IntSymMatrix, congruence, direct_sum, solve_mod2
+from imm5.intlinalg import IntSymMatrix, congruence, direct_sum, signature, solve_mod2
 from imm5.surgery import (
     Gamma2Element,
     HomologyProfile,
@@ -14,9 +17,9 @@ from imm5.surgery import (
     gamma2_elements,
     homology_profile,
     is_even_presentation,
-    signature_of_trace,
 )
-from imm5.verify import random_even_symmetric_nonsingular
+from imm5.spin import spin_structures, wu_coset_of_difference
+from imm5.verify import random_even_symmetric_nonsingular, random_symmetric
 
 
 def _pres(rows, name="m"):
@@ -122,9 +125,9 @@ class TestGamma2:
 
 class TestTraceData:
     def test_signatures(self):
-        assert signature_of_trace(presentation("t3")) == 0
-        assert signature_of_trace(_pres([[2]])) == 1
-        assert signature_of_trace(SurgeryPresentation("w8", e8_form())) == 8
+        assert signature(presentation("t3").q) == 0
+        assert signature(_pres([[2]]).q) == 1
+        assert signature(SurgeryPresentation("w8", e8_form()).q) == 8
 
     def test_even_presentations(self):
         assert is_even_presentation(presentation("t3"))
@@ -132,3 +135,49 @@ class TestTraceData:
         assert not is_even_presentation(_pres([[3]]))
         assert not is_even_presentation(_pres([[2, 1], [1, 3]]))
         assert is_even_presentation(SurgeryPresentation("w8", e8_form()))
+
+
+def _plumbing_chain(n):
+    return [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+class TestOneReductionEach:
+    """q is eliminated once over Z (``_signature_det``) and once over Z2
+    (``_gauss_jordan_mod2``) however many readers ask."""
+
+    REDUCTIONS = ("_signature_det", "_gauss_jordan_mod2")
+
+    def _count_calls(self, monkeypatch):
+        """Count each reduction through every module of the package that
+        binds it by name."""
+        counts = dict.fromkeys(self.REDUCTIONS, 0)
+        for name in self.REDUCTIONS:
+            original = getattr(intlinalg, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("imm5")
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("rows, alpha, counts", [
+        (_plumbing_chain(199), 1, (1, 1)),
+        (random_symmetric(random.Random(0), 40).row_lists(), 1, (1, 1)),
+        # alpha >= 2 takes the Smith route, whose inverse_mod2 is a GF(2) pass
+        (random_symmetric(random.Random(3), 40).row_lists(), 2, (1, 2)),
+    ], ids=["chain199", "random40", "random40-alpha2"])
+    def test_one_pass_per_presentation(self, monkeypatch, rows, alpha, counts):
+        calls = self._count_calls(monkeypatch)
+        m = parse_manifold({"name": "m", "linking_matrix": rows})
+        p = m.presentation
+        signature(p.q)
+        spins = spin_structures(p)
+        for k in (1, 2):
+            wu_coset_of_difference(p, spins[k % len(spins)], spins[0])
+        assert m.profile.alpha == alpha and m.profile.betti1 == 0
+        assert (p._mod_det is not None) == (alpha <= 1)
+        assert tuple(calls[name] for name in self.REDUCTIONS) == counts
