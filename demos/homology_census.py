@@ -1,7 +1,8 @@
 """Walk through the homology census of the built-in manifolds.
 
 For each fixture we read the linking matrix, compute H1 as the cokernel
-of the matrix via its Smith normal form, and list the census that
+of the matrix from its invariant factors (the ``imm5.surgery`` module
+docstring says which route finds them), and list the census that
 classifies immersions with trivial normal bundle: the Wu classes
 (Gamma2, one bit per even torsion factor) and a copy of Z over each.
 """

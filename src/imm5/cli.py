@@ -677,7 +677,8 @@ def _resolve_seed(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
-        raise ParseError(f"--trials must be at least 1, got {args.trials}")
+        raise ParseError(
+            f"--trials must be at least 1, got {_QUOTE.repr(args.trials)}")
     sections = []
     if args.file:
         sections.append(verify_file_report(load_records(args.file)))
@@ -696,6 +697,16 @@ def _cmd_verify(args) -> int:
     }
     _emit(rep, render_verify, args.json)
     return 0 if rep["passed"] else 1
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value; a bad one gets argparse's own message
+    for ``type=int``, with the value quoted through _QUOTE."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_QUOTE.repr(text)}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -721,8 +732,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("act", help="connected sum with a sphere immersion")
     p.add_argument("file", help="manifold JSON file or fixture name")
     p.add_argument("--wu", required=True, help="Wu coordinates, e.g. 0 or 01")
-    p.add_argument("--i", required=True, type=int)
-    p.add_argument("--omega", required=True, type=int)
+    p.add_argument("--i", required=True, type=_int_option)
+    p.add_argument("--omega", required=True, type=_int_option)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_act)
 
@@ -737,9 +748,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run the built-in reproductions")
     p.add_argument("--oracles", action="store_true",
                    help="run the randomized oracle sweeps")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_option, default=None,
                    help=f"oracle seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_int_option, default=500)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -747,13 +758,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # Integers are exact decimal strings of any length, in and out, past
-    # CPython's default cap of 4,300 digits on int/str conversion.
+    # Integers are exact decimal strings of any length, in files, options
+    # and reports, past CPython's default cap of 4,300 digits on int/str
+    # conversion.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ParityError as exc:
         print(f"ParityError: {exc}", file=sys.stderr)

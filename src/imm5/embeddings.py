@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CosetUncovered, HypothesisViolated, ParityViolation
+from .errors import _QUOTE, CosetUncovered, HypothesisViolated, ParityViolation
 from .invariants import RegHomotopyClass
 from .surgery import Gamma2Element, HomologyProfile, gamma2_elements
 
@@ -65,7 +65,7 @@ def embedding_classes(h: HomologyProfile,
         for s0 in sigs:
             if (s0 - h.alpha) % 2:
                 raise ParityViolation(
-                    f"base signature {s0} has the wrong parity "
+                    f"base signature {_QUOTE.repr(s0)} has the wrong parity "
                     f"(alpha = {h.alpha})"
                 )
             here.add((3 * (s0 - h.alpha) // 2) % 24)

@@ -2,9 +2,18 @@
 
 import reprlib
 
+
+class _Quote(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than the interpreter converts to str
+            return f"<int of {x.bit_length()} bits>"
+
+
 # Quotes an offending input value in an error message in at most about 200
 # characters: nested containers show as [...], long scalars lose their middle.
-_QUOTE = reprlib.Repr()
+_QUOTE = _Quote()
 _QUOTE.maxlevel = 1
 _QUOTE.maxdict = 3
 _QUOTE.maxlong = 30

@@ -4,19 +4,19 @@ a matrix is reduced.
 Smith normal form, invariant factors modulo the determinant, signatures
 and determinants, and GF(2) linear algebra on int bitmask rows.  One
 Smith pivot loop serves ``smith_normal_form``, with both unimodular
-transforms, and ``smith_mod2``, with the factors and u mod 2 only, so no
-transform entry grows.  An ``IntSymMatrix`` q is reduced once over Z and
-once over Z2, on first use, and keeps both results: one symmetric
+transforms, and ``smith_mod2``, with the factors and u^{-1} mod 2 only,
+so no transform entry grows.  An ``IntSymMatrix`` q is reduced once over
+Z and once over Z2, on first use, and keeps both results: one symmetric
 Bareiss pass gives the signature, det q and an (n-1)-minor, from which
 ``_factors_mod_det`` finds the factors of a nonsingular q modulo a
 divisor of det q; one Gauss-Jordan pass on q mod 2, augmented by diag q
 mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
 is an int whose bit j holds column j and row addition is XOR; one
-Gauss-Jordan loop serves that pass, ``solve_mod2`` and
-``inverse_mod2``.  A solution set is streamed as bitmasks
-(``Mod2Solution.masks``) and unpacked to 0/1 tuples through a byte table
-only where a caller asks for tuples.  All integer arithmetic is
-arbitrary precision and neither fractions nor floating point are used.
+Gauss-Jordan loop serves that pass and ``solve_mod2``.  A solution set
+is streamed as bitmasks (``Mod2Solution.masks``) and unpacked to 0/1
+tuples through a byte table only where a caller asks for tuples.  All
+integer arithmetic is arbitrary precision and neither fractions nor
+floating point are used.
 """
 
 from __future__ import annotations
@@ -179,15 +179,16 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class SmithMod2:
-    """Invariant factors of a and the left transform u of u*a*v = s, mod 2.
+    """Invariant factors of a and the inverse of the left transform u of
+    u*a*v = s, mod 2.
 
-    ``u_mod2[i]`` is row i of u as a bitmask (bit j holds u[i][j] mod 2).
-    The elimination is the one ``smith_normal_form`` runs, so this is
-    that routine's u reduced mod 2, bit for bit.
+    ``u_inverse_mod2[i]`` is column i of u^{-1} as a bitmask (bit j holds
+    u^{-1}[j][i] mod 2).  The elimination is the one ``smith_normal_form``
+    runs, so this is the inverse of that routine's u, reduced mod 2.
     """
 
     invariant_factors: tuple[int, ...]
-    u_mod2: tuple[int, ...]
+    u_inverse_mod2: tuple[int, ...]
 
 
 class _IntRows:
@@ -207,18 +208,21 @@ class _IntRows:
         self.rows[k] = [-x for x in self.rows[k]]
 
 
-class _Mod2Rows:
-    """The same replay mod 2, one int bitmask per row."""
+class _Mod2InverseCols:
+    """The inverse of the replayed rows, mod 2, one int bitmask per
+    column.  A row operation e turns the inverse w into w e^{-1}: a swap
+    of rows i, j swaps columns i, j, and adding c times row src to row
+    dst subtracts c times column dst from column src."""
 
     def __init__(self, n: int):
-        self.rows = [1 << i for i in range(n)]
+        self.cols = [1 << i for i in range(n)]
 
     def swap(self, i: int, j: int) -> None:
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+        self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
 
     def add(self, dst: int, src: int, c: int) -> None:
         if c & 1:
-            self.rows[dst] ^= self.rows[src]
+            self.cols[src] ^= self.cols[dst]
 
     def negate(self, k: int) -> None:
         pass
@@ -268,9 +272,10 @@ def _smith_reduce(A: list[list[int]], u, vt) -> tuple[int, ...]:
     """Reduce the m x n matrix A in place to Smith form; return its diagonal.
 
     This is the one pivot loop behind every Smith routine.  Each row
-    operation on A is replayed on ``u`` and each column operation on
-    ``vt`` (unless it is None) as the matching row operation, so vt ends
-    as v^T; both replay through ``swap``/``add``/``negate`` methods.
+    operation on A is passed to ``u`` and each column operation to ``vt``
+    (unless it is None) as the matching row operation, through
+    ``swap``/``add``/``negate`` methods: ``_IntRows`` replays them, so
+    vt ends as v^T, and ``_Mod2InverseCols`` keeps the inverse mod 2.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -340,15 +345,15 @@ def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
 
 
 def smith_mod2(a: IntSymMatrix | Rows) -> SmithMod2:
-    """Invariant factors and u mod 2 of ``smith_normal_form(a)``.
+    """Invariant factors and u^{-1} mod 2 of ``smith_normal_form(a)``.
 
-    Runs the same elimination but keeps u over Z2 and no v at all, so
-    no transform entry grows; only the entries of a itself do.
+    Runs the same elimination but keeps u^{-1} over Z2 and no v at all,
+    so no transform entry grows; only the entries of a itself do.
     """
     A, m, _ = _as_rect(a)
-    u = _Mod2Rows(m)
-    factors = _smith_reduce(A, u, None)
-    return SmithMod2(factors, tuple(u.rows))
+    u_inverse = _Mod2InverseCols(m)
+    factors = _smith_reduce(A, u_inverse, None)
+    return SmithMod2(factors, tuple(u_inverse.cols))
 
 
 def _factors_mod_det(a: IntSymMatrix | Rows, d: int, minor: int) -> tuple[int, ...]:
@@ -395,7 +400,7 @@ def _factors_mod_det(a: IntSymMatrix | Rows, d: int, minor: int) -> tuple[int, .
                         row[j] = (row[j] - f * prow[j]) % m
         block = [[row[j] for j in skipped] for row in live]
         # _smith_reduce replays its row operations on a u this routine drops
-        diagonal = _smith_reduce(block, _Mod2Rows(len(block)), None)
+        diagonal = _smith_reduce(block, _Mod2InverseCols(len(block)), None)
         factors[n - len(block):] = [gcd(s, m) for s in diagonal]
     head = tuple(factors[:-1])
     return head + (d // prod(head),) if n else ()
@@ -539,19 +544,6 @@ def _gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
-
-
-def inverse_mod2(rows: Sequence[int], n: int) -> list[int]:
-    """Inverse over Z2 of an invertible n x n bit matrix given as row
-    bitmasks (bit j of ``rows[i]`` is entry (i, j)), as row bitmasks.
-
-    Raises NoSolution when the matrix is singular mod 2.
-    """
-    # [a | I]: the identity rides in bits n .. 2n-1
-    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
-    if len(_gauss_jordan_mod2(aug, n)) < n:
-        raise NoSolution("matrix is singular mod 2")
-    return [r >> n for r in aug]
 
 
 @dataclass(frozen=True)

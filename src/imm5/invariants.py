@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisViolated, MissingData, ParityError, WuMismatch
+from .errors import _QUOTE, HypothesisViolated, MissingData, ParityError, WuMismatch
 from .surgery import Gamma2Element, HomologyProfile
 
 
@@ -108,7 +108,8 @@ def smale_via_seifert_r5(s: SeifertFillingR5) -> SmaleClass:
     total = 3 * s.sigma + s.cusps_algebraic
     if total % 2:
         raise ParityError(
-            f"3*sigma + cusps = {total} is odd; no genuine filling yields this data"
+            f"3*sigma + cusps = {_QUOTE.repr(total)} is odd; "
+            "no genuine filling yields this data"
         )
     return SmaleClass(total // 2)
 
@@ -118,7 +119,7 @@ def smale_via_seifert_r6(s: SeifertFillingR6, d: ImmersionDoubleData) -> SmaleCl
     total = 3 * (s.sigma + s.triple_points - s.singular_linking) + d.big_l
     if total % 2:
         raise ParityError(
-            f"3*(sigma + t - l) + L = {total} is odd; "
+            f"3*(sigma + t - l) + L = {_QUOTE.repr(total)} is odd; "
             "no genuine filling yields this data"
         )
     return SmaleClass(total // 2)
@@ -129,7 +130,7 @@ def i_a(s: SeifertFillingR5, h: HomologyProfile) -> int:
     total = 3 * (s.sigma - h.alpha) + s.cusps_algebraic
     if total % 2:
         raise ParityError(
-            f"3*(sigma - alpha) + cusps = {total} is odd; "
+            f"3*(sigma - alpha) + cusps = {_QUOTE.repr(total)} is odd; "
             "the record is inconsistent with any singular Seifert surface"
         )
     return total // 2
@@ -140,7 +141,7 @@ def i_b(s: SeifertFillingR6, d: ImmersionDoubleData, h: HomologyProfile) -> int:
     total = 3 * (s.sigma - h.alpha + s.triple_points - s.singular_linking) + d.big_l
     if total % 2:
         raise ParityError(
-            f"3*(sigma - alpha + t - l) + L = {total} is odd; "
+            f"3*(sigma - alpha + t - l) + L = {_QUOTE.repr(total)} is odd; "
             "the record is inconsistent with any singular Seifert surface"
         )
     return total // 2

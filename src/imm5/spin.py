@@ -78,10 +78,9 @@ def wu_coset_of_difference(
 
     The difference delta descends to the functional x -> delta.x on
     H1 = coker(q).  Its values on the kept Gamma2 generators g_i mod 2
-    (``SurgeryPresentation.gamma2_generators``: the lowest set bit of
-    the nonzero k in ker(q mod 2) when q is nonsingular and alpha <= 1,
-    else the Smith generators u^{-1} e_i) are the Gamma2 coordinates of
-    the coset.  The map is onto Gamma2 with fibres of size 2**betti1.
+    (``SurgeryPresentation.gamma2_generators``; the ``surgery`` module
+    docstring says how they are found) are the Gamma2 coordinates of the
+    coset.  The map is onto Gamma2 with fibres of size 2**betti1.
     """
     delta = 0
     for s in (s1, s2):

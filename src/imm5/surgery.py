@@ -7,10 +7,11 @@ of even torsion factors, and the 2-torsion subgroup Gamma2 of H^2 that
 indexes the Wu classes.  H^2 is identified with H1 throughout via
 Poincare duality, so only the group structure is ever represented.
 
-q is reduced once over Z and once over Z2 by ``intlinalg``, and each
-presentation reads H1 off those two results once, lazily, by one of two
-routes, keeping the invariant factors and the Gamma2 generators as
-bitmasks (``SurgeryPresentation.gamma2_generators``).
+q is reduced once over Z and once over Z2 by ``intlinalg``.  Each
+presentation computes H1 once, lazily, by one of two routes chosen here
+and nowhere else (``SurgeryPresentation._h1``), and keeps the invariant
+factors and the Gamma2 generators, one bitmask over the link components
+per even torsion factor.
 
 * When det q != 0 and ker(q mod 2) has at most two elements, the factors
   are computed modulo a divisor of |det q| (``_factors_mod_det``), and
@@ -19,11 +20,11 @@ bitmasks (``SurgeryPresentation.gamma2_generators``).
   delta has the one Wu coordinate [delta = k] whatever basis Gamma2 is
   given: the single generator is the lowest set bit of k, and alpha = 0
   has none.
-* Otherwise (q singular, or alpha >= 2) the Smith elimination runs
-  (``SurgeryPresentation.smith``) with its left transform u mod 2, and
-  the generators are Smith generators.  For alpha >= 2 the coordinates
-  depend on that basis, and files key ``spin_boundary_signatures`` by
-  them.
+* Otherwise (q singular, or alpha >= 2) ``smith_mod2`` runs the Smith
+  elimination u q v = s and keeps u^{-1} mod 2.  The generator of the
+  i-th Smith factor is column i of u^{-1} mod 2, the Smith generator
+  u^{-1} e_i reduced mod 2.  For alpha >= 2 the coordinates depend on
+  that basis, and files key ``spin_boundary_signatures`` by them.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intlinalg import (
-    IntSymMatrix, SmithMod2, _factors_mod_det, inverse_mod2, smith_mod2,
-)
+from .intlinalg import IntSymMatrix, _factors_mod_det, smith_mod2
 
 
 @dataclass(frozen=True)
@@ -49,43 +48,28 @@ class SurgeryPresentation:
         return self.q.n
 
     @cached_property
-    def _mod_det(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """(invariant factors of q, Gamma2 generators) when det q != 0 and
-        ker(q mod 2) has at most two elements; None otherwise, when the
-        Smith route serves q."""
+    def _h1(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(invariant factors of q, Gamma2 generators), by the route the
+        module docstring describes."""
         kernel = self.q._over_z2[2].kernel
-        if len(kernel) > 1:
-            return None
-        _, det, minor = self.q._over_z
-        if det == 0:
-            return None
-        # the lowest set bit of the nonzero k in ker(q mod 2)
-        generators = tuple(1 << k.index(1) for k in kernel)
-        return _factors_mod_det(self.q, abs(det), minor), generators
+        if len(kernel) <= 1:
+            _, det, minor = self.q._over_z
+            if det:
+                # the lowest set bit of the nonzero k in ker(q mod 2)
+                return (_factors_mod_det(self.q, abs(det), minor),
+                        tuple(1 << k.index(1) for k in kernel))
+        smith = smith_mod2(self.q)
+        factors = smith.invariant_factors
+        return factors, tuple(smith.u_inverse_mod2[i]
+                              for i in even_torsion_positions(factors))
 
-    @cached_property
-    def smith(self) -> SmithMod2:
-        """Invariant factors of q and u mod 2, with u q v = s its Smith
-        form; computed on first use, for the presentations the mod-det
-        route does not serve, and kept with the presentation."""
-        return smith_mod2(self.q)
-
-    @cached_property
+    @property
     def gamma2_generators(self) -> tuple[int, ...]:
-        """One bitmask over the link components per even torsion factor,
-        in Smith order; a class delta in H^1(M; Z2) has Gamma2
-        coordinate i equal to delta(g_i).
-
-        With alpha <= 1 and q nonsingular, g is the lowest set bit of the
-        nonzero k in ker(q mod 2), if there is one.  Otherwise g_i is
-        column i of u^{-1} mod 2, i.e. the Smith generator u^{-1} e_i
-        reduced mod 2."""
-        route = self._mod_det
-        if route is not None:
-            return route[1]
-        inv = inverse_mod2(self.smith.u_mod2, self.n)
-        return tuple(sum(((row >> i) & 1) << j for j, row in enumerate(inv))
-                     for i in even_torsion_positions(self.smith.invariant_factors))
+        """One bitmask g_i over the link components per even torsion
+        factor, in Smith order; a class delta in H^1(M; Z2) has Gamma2
+        coordinate i equal to delta(g_i).  The module docstring says
+        which route gives them."""
+        return self._h1[1]
 
 
 @dataclass(frozen=True)
@@ -156,10 +140,8 @@ class Gamma2Element:
 
 def homology_profile(p: SurgeryPresentation) -> HomologyProfile:
     """H1 of the presented manifold, as coker(q) read off its invariant
-    factors: computed modulo a divisor of |det q| when q is nonsingular
-    and ker(q mod 2) has at most two elements, else by the Smith form."""
-    route = p._mod_det
-    factors = route[0] if route is not None else p.smith.invariant_factors
+    factors; the module docstring says which route computes them."""
+    factors = p._h1[0]
     betti1 = sum(1 for d in factors if d == 0)
     torsion = tuple(d for d in factors if d >= 2)
     return HomologyProfile(betti1, torsion)

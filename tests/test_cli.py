@@ -22,8 +22,11 @@ from imm5.cli import (
     parse_wu_coords,
     to_jsonable,
 )
-from imm5.errors import ParityViolation, ParseError
-from imm5.surgery import Gamma2Element
+from imm5.embeddings import SpinBoundarySignatures, embedding_classes
+from imm5.errors import AsymmetricMatrix, ParityError, ParityViolation, ParseError
+from imm5.intlinalg import IntSymMatrix
+from imm5.invariants import SeifertFillingR5, i_a
+from imm5.surgery import Gamma2Element, HomologyProfile
 
 
 def run(capsys, *argv):
@@ -178,6 +181,24 @@ class TestAct:
                            "--i", "0", "--omega", "0")
         assert code == 2
         assert "ParseError" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["act", "t3", "--wu", "0", "--i", "x" * 10000, "--omega", "0"],
+        ["act", "t3", "--wu", "0", "--i", "0", "--omega", "x" * 10000],
+        ["verify", "--oracles", "--seed", "x" * 10000],
+        ["verify", "--oracles", "--trials", "x" * 10000],
+    ], ids=["i", "omega", "seed", "trials"])
+    def test_bad_integer_option_is_quoted(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert "invalid int value: 'xxx" in err and len(err) < 300
+
+    def test_long_trials_count_is_quoted(self, capsys):
+        code, out, err = run(capsys, "verify", "--oracles", "--trials", "-" + "7" * 10000)
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError: --trials") and len(err) < 300
 
 
 class TestEmbeddingsCommand:
@@ -490,6 +511,27 @@ class TestLongIntegers:
                 parse_manifold({"linking_matrix": [["7" * 5000]]})
             with pytest.raises(ParseError, match="not valid JSON"):
                 load_manifold(str(path))
+
+    def test_library_errors_quote_long_ints(self):
+        odd = SpinBoundarySignatures.from_dict({Gamma2Element(()): [10 ** 6000 + 1]})
+        with int_digit_limit(4300):
+            with pytest.raises(AsymmetricMatrix) as asymmetric:
+                IntSymMatrix([[0, 7 * 10 ** 5000], [1, 0]])
+            with pytest.raises(ParityViolation) as parity:
+                embedding_classes(HomologyProfile(0, ()), odd)
+            with pytest.raises(ParityError) as odd_total:
+                i_a(SeifertFillingR5(sigma=7 * 10 ** 5000 + 1, cusps_algebraic=0),
+                    HomologyProfile(0, ()))
+        for error in (asymmetric, parity, odd_total):
+            assert len(str(error.value)) <= 300
+
+    def test_long_integer_option_is_exact(self, capsys):
+        value = "7" * 5001
+        with int_digit_limit(4300):
+            code, out, err = run(capsys, "act", "t3", "--wu", "0", "--i", value,
+                                 "--omega", "0", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result_i"] == value
 
 
 class TestJsonRoundTrip:

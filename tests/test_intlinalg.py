@@ -14,7 +14,6 @@ from imm5.intlinalg import (
     congruence,
     det_int,
     direct_sum,
-    inverse_mod2,
     signature,
     smith_normal_form,
     solve_mod2,
@@ -226,26 +225,6 @@ class TestSolveMod2:
             }
             assert set(sol.solutions()) == brute
             assert sol.count == len(brute)
-
-
-class TestInverseMod2:
-    def test_inverse_of_unimodular(self):
-        rng = random.Random(12)
-        for n in range(0, 8):
-            g = random_unimodular(rng, n)
-            rows = [sum((x & 1) << j for j, x in enumerate(r)) for r in g]
-            inv = inverse_mod2(rows, n)
-            for i in range(n):
-                # row i of inv times g is e_i over Z2
-                prod = 0
-                for k in range(n):
-                    if inv[i] >> k & 1:
-                        prod ^= rows[k]
-                assert prod == 1 << i
-
-    def test_singular_rejected(self):
-        with pytest.raises(NoSolution):
-            inverse_mod2([0b11, 0b11], 2)
 
 
 class TestDeterminant:

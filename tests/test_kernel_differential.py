@@ -3,9 +3,10 @@ they replaced.
 
 The reference signature is the former ``Fraction`` congruence routine,
 kept here verbatim.  The mod-2 Smith routine is checked against the full
-``smith_normal_form`` (factors and u reduced mod 2), and the Wu map read
-off the cached Gamma2 generators against the former per-call route (a
-Smith form and a GF(2) solve of u^T c = delta on every call).  The
+``smith_normal_form`` (the same factors, and u times the kept u^{-1} is
+the identity mod 2), and the Wu map read off the cached Gamma2
+generators against the former per-call route (a Smith form and a GF(2)
+solve of u^T c = delta on every call).  The
 bitmask ``solve_mod2`` is checked against the former numpy ``uint8``
 routine, kept here verbatim; those tests skip when numpy is absent.
 The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration,
@@ -17,8 +18,11 @@ zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
 
 H1 as ``homology_profile`` computes it (factors modulo the determinant
 and the generator read off ker(q mod 2) when q is nonsingular and
-alpha <= 1, the Smith route otherwise) is checked against ``smith_mod2``
-with ``inverse_mod2`` on 10,000 instances in five families: random
+alpha <= 1, the Smith route otherwise) is checked against the former
+Smith route, kept here verbatim: u replayed mod 2 row by row through
+``_smith_reduce``, then inverted over Z2.  Its generators must equal the
+kept ones wherever the Smith route runs.  There are 10,000 instances in
+five families: random
 symmetric, plumbing trees, singular, alpha >= 2 block sums, and
 diagonals sharing odd primes, whose factors modulo the determinant
 leave a non-unit block.
@@ -32,6 +36,7 @@ from operator import mul
 
 import pytest
 
+from imm5 import surgery
 from imm5.errors import InvalidSpinStructure, NoSolution
 from imm5.intlinalg import (
     _TAIL,
@@ -39,9 +44,10 @@ from imm5.intlinalg import (
     Mod2Solution,
     _as_row_lists,
     _factors_mod_det,
+    _gauss_jordan_mod2,
     _signature_det,
+    _smith_reduce,
     det_int,
-    inverse_mod2,
     signature,
     smith_mod2,
     smith_normal_form,
@@ -270,7 +276,10 @@ def test_smith_mod2_matches_full_transform(family):
         full = smith_normal_form(rows)
         fast = smith_mod2(rows)
         assert fast.invariant_factors == full.invariant_factors, rows
-        assert fast.u_mod2 == tuple(_mask(r) for r in full.u), rows
+        # (u u^{-1})[r][i] is the parity of row r of u against column i
+        assert [[(_mask(r) & c).bit_count() & 1 for c in fast.u_inverse_mod2]
+                for r in full.u] == [[int(i == j) for j in range(len(rows))]
+                                     for i in range(len(rows))], rows
 
 
 def route_instance(family: str, rng: random.Random) -> list[list[int]]:
@@ -300,23 +309,63 @@ def route_instance(family: str, rng: random.Random) -> list[list[int]]:
     return _congruent_diagonal(rng, diag)
 
 
+class Mod2Rows:
+    """The former replay of ``smith_mod2``: u mod 2, one int bitmask per
+    row."""
+
+    def __init__(self, n: int):
+        self.rows = [1 << i for i in range(n)]
+
+    def swap(self, i: int, j: int) -> None:
+        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
+
+    def add(self, dst: int, src: int, c: int) -> None:
+        if c & 1:
+            self.rows[dst] ^= self.rows[src]
+
+    def negate(self, k: int) -> None:
+        pass
+
+
+def inverse_mod2(rows, n: int) -> list[int]:
+    """Inverse over Z2 of an invertible n x n bit matrix given as row
+    bitmasks (bit j of ``rows[i]`` is entry (i, j)), as row bitmasks.
+
+    Raises NoSolution when the matrix is singular mod 2.
+    """
+    # [a | I]: the identity rides in bits n .. 2n-1
+    aug = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    if len(_gauss_jordan_mod2(aug, n)) < n:
+        raise NoSolution("matrix is singular mod 2")
+    return [r >> n for r in aug]
+
+
 def smith_route(rows):
-    """Factors and Gamma2 generators as the Smith route alone gives them:
-    ``smith_mod2`` and the columns of u^{-1} mod 2."""
-    ref = smith_mod2(rows)
-    inv = inverse_mod2(ref.u_mod2, len(rows))
+    """Factors and Gamma2 generators as the former Smith route gave them:
+    u mod 2 from the Smith elimination, and the columns of u^{-1} mod 2."""
+    u = Mod2Rows(len(rows))
+    factors = _smith_reduce([list(r) for r in rows], u, None)
+    inv = inverse_mod2(u.rows, len(rows))
     gens = tuple(sum(((row >> i) & 1) << j for j, row in enumerate(inv))
-                 for i in even_torsion_positions(ref.invariant_factors))
-    return ref.invariant_factors, gens
+                 for i in even_torsion_positions(factors))
+    return factors, gens
 
 
-def test_homology_routes_match_smith_route():
+def test_homology_routes_match_smith_route(monkeypatch):
+    smith_runs = []
+
+    def counted_smith_mod2(a):
+        smith_runs.append(a)
+        return smith_mod2(a)
+
+    monkeypatch.setattr(surgery, "smith_mod2", counted_smith_mod2)
     rng = random.Random("homology-routes")
     mod_det = alpha1 = block = modulus = smith = wu_checked = 0
     for k in range(ROUTE_CASES):
         rows = route_instance(ROUTE_FAMILIES[k % len(ROUTE_FAMILIES)], rng)
         factors, gens = smith_route(rows)
         p = SurgeryPresentation("d", IntSymMatrix(rows))
+        runs = len(smith_runs)
         h = homology_profile(p)
         assert h.betti1 == factors.count(0), rows
         assert h.torsion_factors == tuple(d for d in factors if d >= 2), rows
@@ -331,7 +380,8 @@ def test_homology_routes_match_smith_route():
             if k % 3 == 0:
                 assert _factors_mod_det(rows, abs(det), 0) == factors, rows
 
-        if p._mod_det is None:
+        if len(smith_runs) > runs:
+            assert p.gamma2_generators == gens, rows
             smith += 1
         else:
             mod_det += 1
@@ -346,6 +396,7 @@ def test_homology_routes_match_smith_route():
                 want = tuple((delta & g).bit_count() & 1 for g in gens)
                 assert wu_coset_of_difference(p, s1, s2).value.coords == want, rows
                 wu_checked += any(want)
+    assert len(smith_runs) == smith
     assert mod_det >= 5000 and smith >= 4000
     assert alpha1 >= 2000 and block >= 1500 and modulus >= 2500
     assert wu_checked >= 8000

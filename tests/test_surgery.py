@@ -143,9 +143,11 @@ def _plumbing_chain(n):
 
 class TestOneReductionEach:
     """q is eliminated once over Z (``_signature_det``) and once over Z2
-    (``_gauss_jordan_mod2``) however many readers ask."""
+    (``_gauss_jordan_mod2``) however many readers ask, and by
+    ``smith_mod2`` once when its H1 route needs the Smith form and never
+    otherwise."""
 
-    REDUCTIONS = ("_signature_det", "_gauss_jordan_mod2")
+    REDUCTIONS = ("_signature_det", "_gauss_jordan_mod2", "smith_mod2")
 
     def _count_calls(self, monkeypatch):
         """Count each reduction through every module of the package that
@@ -164,13 +166,14 @@ class TestOneReductionEach:
                     monkeypatch.setattr(module, name, counted)
         return counts
 
-    @pytest.mark.parametrize("rows, alpha, counts", [
-        (_plumbing_chain(199), 1, (1, 1)),
-        (random_symmetric(random.Random(0), 40).row_lists(), 1, (1, 1)),
-        # alpha >= 2 takes the Smith route, whose inverse_mod2 is a GF(2) pass
-        (random_symmetric(random.Random(3), 40).row_lists(), 2, (1, 2)),
-    ], ids=["chain199", "random40", "random40-alpha2"])
-    def test_one_pass_per_presentation(self, monkeypatch, rows, alpha, counts):
+    @pytest.mark.parametrize("rows, betti1, alpha, counts", [
+        (_plumbing_chain(199), 0, 1, (1, 1, 0)),
+        (random_symmetric(random.Random(0), 40).row_lists(), 0, 1, (1, 1, 0)),
+        (random_symmetric(random.Random(3), 40).row_lists(), 0, 2, (1, 1, 1)),
+        # singular: the zero block of #^4 S1xS2
+        ([[0] * 4 for _ in range(4)], 4, 0, (1, 1, 1)),
+    ], ids=["chain199", "random40", "random40-alpha2", "s1xs2-sum4"])
+    def test_one_pass_per_presentation(self, monkeypatch, rows, betti1, alpha, counts):
         calls = self._count_calls(monkeypatch)
         m = parse_manifold({"name": "m", "linking_matrix": rows})
         p = m.presentation
@@ -178,6 +181,5 @@ class TestOneReductionEach:
         spins = spin_structures(p)
         for k in (1, 2):
             wu_coset_of_difference(p, spins[k % len(spins)], spins[0])
-        assert m.profile.alpha == alpha and m.profile.betti1 == 0
-        assert (p._mod_det is not None) == (alpha <= 1)
+        assert (m.profile.betti1, m.profile.alpha) == (betti1, alpha)
         assert tuple(calls[name] for name in self.REDUCTIONS) == counts
