@@ -6,9 +6,9 @@ kept here verbatim.  The mod-2 Smith routine is checked against the full
 ``smith_normal_form`` (the same factors, and u times the kept u^{-1} is
 the identity mod 2), and the Wu map read off the cached Gamma2
 generators against the former per-call route (a Smith form and a GF(2)
-solve of u^T c = delta on every call).  The
-bitmask ``solve_mod2`` is checked against the former numpy ``uint8``
-routine, kept here verbatim; those tests skip when numpy is absent.
+solve of u^T c = delta on every call).  The bitmask ``solve_mod2`` is
+checked against the former numpy ``uint8`` routine, kept here verbatim;
+those tests skip when numpy is absent.
 The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration,
 the characteristic test on the cached q mod 2, and the Wu map on XORed
 masks) is checked against the former tuple routines, kept here verbatim.
@@ -22,10 +22,9 @@ alpha <= 1, the Smith route otherwise) is checked against the former
 Smith route, kept here verbatim: u replayed mod 2 row by row through
 ``_smith_reduce``, then inverted over Z2.  Its generators must equal the
 kept ones wherever the Smith route runs.  There are 10,000 instances in
-five families: random
-symmetric, plumbing trees, singular, alpha >= 2 block sums, and
-diagonals sharing odd primes, whose factors modulo the determinant
-leave a non-unit block.
+five families: random symmetric, plumbing trees, singular, alpha >= 2
+block sums, and diagonals sharing odd primes, whose factors modulo the
+determinant leave a non-unit block.
 """
 
 import random
