@@ -39,7 +39,6 @@ from .intlinalg import (
     SmithMod2,
     congruence,
     det_int,
-    direct_sum,
     signature,
     smith_mod2,
     smith_normal_form,
@@ -62,7 +61,6 @@ from .invariants import (
 from .spin import (
     SpinStructure,
     WuCoset,
-    is_characteristic,
     spin_structures,
     wu_coset_of_difference,
 )
@@ -72,7 +70,6 @@ from .surgery import (
     SurgeryPresentation,
     gamma2_elements,
     homology_profile,
-    is_even_presentation,
 )
 
 __version__ = "0.1.0"
@@ -108,15 +105,12 @@ __all__ = [
     "congruence",
     "connected_sum_act",
     "det_int",
-    "direct_sum",
     "embedding_classes",
     "gamma2_elements",
     "homology_profile",
     "i_a",
     "i_b",
-    "is_characteristic",
     "is_embedding_class",
-    "is_even_presentation",
     "rohlin_compatible",
     "seifert_signature_criterion",
     "signature",

@@ -13,19 +13,17 @@ divisor of det q; one Gauss-Jordan pass on q mod 2, augmented by diag q
 mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
 is an int whose bit j holds column j and row addition is XOR; one
 Gauss-Jordan loop serves that pass and ``solve_mod2``.  A solution set
-is streamed as bitmasks (``Mod2Solution.masks``) and unpacked to 0/1
-tuples through a byte table only where a caller asks for tuples.  All
+is never listed: solution k is read off tables of kernel combinations
+(``Mod2Solution.mask``) and ``Mod2Solution.masks`` streams them.  All
 integer arithmetic is arbitrary precision and neither fractions nor
 floating point are used.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, prod
-from operator import xor
 from typing import Iterator, Sequence
 
 from .errors import _QUOTE, AsymmetricMatrix, NoSolution
@@ -105,19 +103,6 @@ def _identity(n: int) -> list[list[int]]:
 
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
-
-
-def direct_sum(a: IntSymMatrix, b: IntSymMatrix) -> IntSymMatrix:
-    """Block-diagonal sum of two symmetric integer matrices."""
-    n, m = a.n, b.n
-    rows = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = a.entries[i][j]
-    for i in range(m):
-        for j in range(m):
-            rows[n + i][n + j] = b.entries[i][j]
-    return IntSymMatrix(rows)
 
 
 def congruence(a: IntSymMatrix, g: Rows) -> IntSymMatrix:
@@ -507,11 +492,9 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
 # Z2 linear algebra on int bitmask rows
 # ----------------------------------------------------------------------
 
-# kernel vectors whose combinations Mod2Solution.masks tabulates
+# kernel vectors per XOR table of Mod2Solution; _BYTE picks one table's bits
 _TAIL = 8
-
-# _BYTE_BITS[b] is the byte b as 8 bits, least significant first
-_BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
+_BYTE = (1 << _TAIL) - 1
 
 
 def _mask(bits: Sequence[int]) -> int:
@@ -557,38 +540,39 @@ class Mod2Solution:
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def count(self) -> int:
         return 2 ** len(self.kernel)
 
-    def masks(self) -> Iterator[int]:
-        """All solutions as bitmasks (bit j holds x_j), in
-        ``itertools.product`` order over the kernel basis: the particular
-        solution first, the first kernel vector varying slowest.
-
-        Streamed: the combinations of the last ``_TAIL`` kernel vectors
-        are tabulated once, and each prefix combination of the others
-        walks that table, so at most ``2 ** _TAIL`` masks are held.
-        """
+    @cached_property
+    def _tables(self) -> tuple[int, tuple[list[int], ...]]:
+        """(the particular solution as a mask, XOR tables): table t holds
+        the combinations of the kernel vectors that bits t*_TAIL.. of k pick."""
         basis = [_mask(k) for k in self.kernel]
-        cut = max(len(basis) - _TAIL, 0)
-        table = [0]
-        for vec in basis[cut:]:
-            table = [x for t in table for x in (t, t ^ vec)]
-        base = _mask(self.particular)
-        for picks in itertools.product((0, 1), repeat=cut):
-            head = reduce(xor, itertools.compress(basis, picks), base)
-            yield from map(head.__xor__, table)
+        tables = []
+        for stop in range(len(basis) or 1, 0, -_TAIL):
+            table = [0]
+            for vec in basis[max(stop - _TAIL, 0):stop]:
+                table = [x for t in table for x in (t, t ^ vec)]
+            tables.append(table)
+        return _mask(self.particular), tuple(tables)
 
-    def solutions(self) -> Iterator[tuple[int, ...]]:
-        """All solutions as 0/1 tuples, in the order of ``masks``."""
-        n = len(self.particular)
-        nbytes = -(-n // 8)
-        for x in self.masks():
-            bits: tuple[int, ...] = ()
-            for byte in x.to_bytes(nbytes, "little"):
-                bits += _BYTE_BITS[byte]
-            yield bits[:n]
+    def mask(self, k: int) -> int:
+        """Solution k (0 <= k < count) as a bitmask (bit j holds x_j): the
+        particular solution XOR the kernel vectors picked by the bits of
+        k, the first kernel vector the most significant bit."""
+        x, tables = self._tables
+        for table in tables:
+            x ^= table[k & _BYTE]
+            k >>= _TAIL
+        return x
+
+    def masks(self) -> Iterator[int]:
+        """``mask(0)``, ``mask(1)``, ... streamed: each head ``mask(k)``
+        with k a multiple of 2**_TAIL walks table 0."""
+        tail = self._tables[1][0]
+        for high in range(0, self.count, len(tail)):
+            yield from map(self.mask(high).__xor__, tail)
 
 
 def solve_mod2(m: IntSymMatrix | Rows, b: Sequence[int]) -> Mod2Solution:

@@ -8,20 +8,25 @@ two spin structures by evaluating them on the Gamma2 generators that the
 presentation computes once and keeps.
 
 Spin vectors are int bitmasks (bit j is c_j mod 2) everywhere inside:
-the solution that q keeps from its one Z2 reduction is streamed as masks
-and each mask is unpacked to a ``SpinStructure`` tuple once.  The
-characteristic test XORs the rows of q mod 2 kept with that reduction
-at the set bits of c and compares the result with the kept diagonal
-mask; it yields the mask of c, and a difference of two spin structures
-is the XOR of their masks.
+``spin_structures`` is a sequence over the solution that q keeps from
+its one Z2 reduction, and unpacks a mask to a ``SpinStructure`` tuple
+only when that element is read.  The characteristic test XORs the rows
+of q mod 2 kept with that reduction at the set bits of c and compares
+the result with the kept diagonal mask; it yields the mask of c, and a
+difference of two spin structures is the XOR of their masks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 
-from .errors import InvalidSpinStructure
+from .errors import _QUOTE, InvalidSpinStructure
 from .surgery import Gamma2Element, SurgeryPresentation
+
+# _BYTE_BITS[b] is the byte b as 8 bits, least significant first
+_BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -56,19 +61,43 @@ def _characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None
     return x if acc == diagonal else None
 
 
-def is_characteristic(p: SurgeryPresentation, s: SpinStructure) -> bool:
-    """Whether s solves the characteristic-sublink equation for p."""
-    return _characteristic_mask(p, s) is not None
+class _SpinSpace(Sequence):
+    """The solutions of q c = diag(q) mod 2 in ``masks`` order, unpacked on read."""
+
+    def __init__(self, p: SurgeryPresentation):
+        self._sol, self._n = p.q._over_z2[2], p.n
+
+    def _unpack(self, x: int) -> SpinStructure:
+        bits: tuple[int, ...] = ()
+        for byte in x.to_bytes(-(-self._n // 8), "little"):
+            bits += _BYTE_BITS[byte]
+        return SpinStructure(bits[:self._n])
+
+    def __len__(self) -> int:
+        return self._sol.count
+
+    def __iter__(self):
+        return map(self._unpack, self._sol.masks())
+
+    def __getitem__(self, k):
+        count = self._sol.count
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(count))]
+        k = index(k)
+        if not -count <= k < count:
+            raise IndexError("spin structure index out of range")
+        return self._unpack(self._sol.mask(k % count))
 
 
-def spin_structures(p: SurgeryPresentation) -> list[SpinStructure]:
-    """All solutions of q c = diag(q) mod 2.
+def spin_structures(p: SurgeryPresentation) -> Sequence[SpinStructure]:
+    """All solutions of q c = diag(q) mod 2 as a lazy read-only sequence
+    that decodes an element when it is read; ``list(...)`` makes them all.
 
     The system is always solvable (the diagonal of a symmetric Z2
     matrix lies in its column space), and the solution count is
-    2**(betti1 + alpha).
+    2**(betti1 + alpha).  Python caps ``len()`` at ``sys.maxsize``.
     """
-    return list(map(SpinStructure, p.q._over_z2[2].solutions()))
+    return _SpinSpace(p)
 
 
 def wu_coset_of_difference(
@@ -87,7 +116,8 @@ def wu_coset_of_difference(
         x = _characteristic_mask(p, s)
         if x is None:
             raise InvalidSpinStructure(
-                f"vector {s.c} fails the characteristic equation for {p.name!r}"
+                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+                f"for {_QUOTE.repr(p.name)}"
             )
         delta ^= x
     coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)

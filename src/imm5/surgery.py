@@ -96,13 +96,9 @@ class HomologyProfile:
         return 2 ** self.alpha
 
     @property
-    def h1_mod2_dim(self) -> int:
-        """dim H^1(M; Z2) = betti1 + alpha (universal coefficients)."""
-        return self.betti1 + self.alpha
-
-    @property
     def spin_structure_count(self) -> int:
-        return 2 ** self.h1_mod2_dim
+        """|H^1(M; Z2)| = 2**(betti1 + alpha) (universal coefficients)."""
+        return 2 ** (self.betti1 + self.alpha)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,3 @@ def even_torsion_positions(invariant_factors: tuple[int, ...]) -> list[int]:
     """
     return [i for i, d in enumerate(invariant_factors) if d != 0 and d % 2 == 0]
 
-
-def is_even_presentation(p: SurgeryPresentation) -> bool:
-    """True iff every framing is even, i.e. the presented 4-manifold is spin."""
-    return all(d % 2 == 0 for d in p.q.diagonal())

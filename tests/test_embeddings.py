@@ -11,12 +11,18 @@ from imm5.embeddings import (
 )
 from imm5.errors import CosetUncovered, HypothesisViolated, ParityViolation
 from imm5.fixtures import presentation
-from imm5.intlinalg import IntSymMatrix, direct_sum, signature
+from imm5.intlinalg import IntSymMatrix, signature
 from imm5.invariants import RegHomotopyClass
 from imm5.surgery import Gamma2Element, HomologyProfile, homology_profile
 
 WU0 = Gamma2Element(())
 SPHERE = HomologyProfile(0, ())
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum of two symmetric integer matrices."""
+    return IntSymMatrix([list(r) + [0] * b.n for r in a.entries]
+                        + [[0] * a.n + list(r) for r in b.entries])
 
 
 def sphere_set():

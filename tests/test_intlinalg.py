@@ -11,14 +11,20 @@ from imm5.errors import AsymmetricMatrix, NoSolution
 from imm5.fixtures import e8_form
 from imm5.intlinalg import (
     IntSymMatrix,
+    _mask,
     congruence,
     det_int,
-    direct_sum,
     signature,
     smith_normal_form,
     solve_mod2,
 )
 from imm5.verify import invariant_factors_via_minors, signature_via_charpoly
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum of two symmetric integer matrices."""
+    return IntSymMatrix([list(r) + [0] * b.n for r in a.entries]
+                        + [[0] * a.n + list(r) for r in b.entries])
 
 
 def random_unimodular(rng, n):
@@ -207,7 +213,7 @@ class TestSolveMod2:
     def test_empty_system(self):
         sol = solve_mod2([], [])
         assert sol.particular == ()
-        assert list(sol.solutions()) == [()]
+        assert list(sol.masks()) == [0]
 
     def test_solution_set_matches_exhaustive_search(self):
         rng = random.Random(11)
@@ -223,7 +229,7 @@ class TestSolveMod2:
                 if all(sum(rows[i][j] * cand[j] for j in range(n)) % 2 == b[i]
                        for i in range(m))
             }
-            assert set(sol.solutions()) == brute
+            assert set(sol.masks()) == set(map(_mask, brute))
             assert sol.count == len(brute)
 
 

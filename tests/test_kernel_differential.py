@@ -9,9 +9,11 @@ generators against the former per-call route (a Smith form and a GF(2)
 solve of u^T c = delta on every call).  The bitmask ``solve_mod2`` is
 checked against the former numpy ``uint8`` routine, kept here verbatim;
 those tests skip when numpy is absent.
-The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration,
-the characteristic test on the cached q mod 2, and the Wu map on XORed
-masks) is checked against the former tuple routines, kept here verbatim.
+The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration
+and its indexed ``mask``, the lazy ``spin_structures`` sequence against
+the list it replaced, the characteristic test on the cached q mod 2, and
+the Wu map on XORed masks) is checked against the former tuple routines,
+kept here verbatim.
 
 Four seeded families of 2,500 matrices each cover general, singular,
 zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
@@ -36,7 +38,7 @@ from operator import mul
 import pytest
 
 from imm5 import surgery
-from imm5.errors import InvalidSpinStructure, NoSolution
+from imm5.errors import _QUOTE, InvalidSpinStructure, NoSolution
 from imm5.intlinalg import (
     _TAIL,
     IntSymMatrix,
@@ -55,7 +57,7 @@ from imm5.intlinalg import (
 from imm5.spin import (
     SpinStructure,
     WuCoset,
-    is_characteristic,
+    _characteristic_mask,
     spin_structures,
     wu_coset_of_difference,
 )
@@ -472,7 +474,7 @@ def test_solve_mod2_matches_numpy_reference():
         got = solve_mod2(rows, b)
         assert got.particular == want.particular, (rows, b)
         assert got.kernel == want.kernel, (rows, b)
-        assert list(got.solutions()) == list(numpy_solutions(want)), (rows, b)
+        assert list(got.masks()) == list(map(_mask, numpy_solutions(want))), (rows, b)
         ncols = len(want.particular)
         rect += len(rows) != ncols
         empty += not rows
@@ -488,7 +490,7 @@ def test_spin_structures_match_numpy_reference(family):
         b = [d % 2 for d in p.q.diagonal()]
         want = [SpinStructure(c)
                 for c in numpy_solutions(numpy_solve_mod2(p.q.entries, b))]
-        assert spin_structures(p) == want, p.q
+        assert list(spin_structures(p)) == want, p.q
 
 
 def tuple_solutions(self):
@@ -519,7 +521,8 @@ def tuple_wu_coset_of_difference(p, s1, s2):
     for s in (s1, s2):
         if not sum_is_characteristic(p, s):
             raise InvalidSpinStructure(
-                f"vector {s.c} fails the characteristic equation for {p.name!r}"
+                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+                f"for {_QUOTE.repr(p.name)}"
             )
     delta = sum((a ^ b) << j for j, (a, b) in enumerate(zip(s1.c, s2.c)))
     coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
@@ -543,12 +546,59 @@ def test_enumeration_matches_tuple_reference():
         sol = Mod2Solution(tuple(rng.choice(entries) for _ in range(n)),
                            tuple(tuple(rng.choice(entries) for _ in range(n))
                                  for _ in range(dim)))
-        want = list(tuple_solutions(sol))
-        assert list(sol.solutions()) == want, sol
-        assert list(sol.masks()) == [_mask(x) for x in want], sol
+        want = [_mask(x) for x in tuple_solutions(sol)]
+        assert list(sol.masks()) == want, sol
+        assert [sol.mask(k) for k in range(sol.count)] == want, sol
         empty += not dim
         streamed += dim > _TAIL
     assert empty >= 100 and streamed >= 100
+
+
+def low_rank_mod2(rng: random.Random, n: int, rank: int) -> list[list[int]]:
+    """A seeded symmetric n x n matrix whose reduction mod 2 has rank at
+    most ``rank``: a sum of that many outer products v v^T, plus twice a
+    symmetric matrix with entries in -2 .. 2, so entries leave {0, 1}."""
+    vs = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rank)]
+    even = _symmetric(rng, n, -2, 2)
+    return [[sum(v[i] * v[j] for v in vs) % 2 + 2 * even[i][j] for j in range(n)]
+            for i in range(n)]
+
+
+def test_spin_sequence_matches_tuple_reference():
+    """The lazy ``spin_structures`` against the list it replaced: length,
+    iteration order, every index from either end, slices, the bounds and
+    seeded ``sample``/``choice``, for kernels of dimension 0 to past the
+    tabulated tail."""
+    rng = random.Random("spin-sequence")
+    dims = set()
+    for k in range(400):
+        if k == 0:
+            n = rank = 0
+        elif k % 10 == 0:
+            n = rng.randint(_TAIL + 1, _TAIL + 4)
+            rank = rng.randint(0, n - _TAIL - 1)
+        else:
+            n = rng.randint(1, 8)
+            rank = rng.randint(0, n)
+        p = SurgeryPresentation("d", IntSymMatrix(low_rank_mod2(rng, n, rank)))
+        sol = p.q._over_z2[2]
+        want = [SpinStructure(c) for c in tuple_solutions(sol)]
+        spins = spin_structures(p)
+        dims.add(len(sol.kernel))
+        assert len(spins) == len(want) and list(spins) == want, p.q
+        for i in range(len(want)):
+            assert spins[i] == want[i] and spins[-i - 1] == want[-i - 1], (p.q, i)
+        for bad in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                spins[bad]
+        cut = slice(rng.randint(-3, 3), rng.randint(-3, 40), rng.choice((1, 2, -1)))
+        assert spins[cut] == want[cut], (p.q, cut)
+        seed = rng.random()
+        twin, mine = random.Random(seed), random.Random(seed)
+        m = min(len(want), 5)
+        assert mine.sample(spins, m) == twin.sample(want, m), p.q
+        assert mine.choice(spins) == twin.choice(want), p.q
+    assert dims >= set(range(_TAIL + 3))
 
 
 def spin_probe(rng, p, spins):
@@ -580,7 +630,7 @@ def test_spin_predicate_and_wu_match_tuple_reference():
         spins = spin_structures(p)
         for _ in range(10):
             s1, s2 = spin_probe(rng, p, spins), spin_probe(rng, p, spins)
-            ok = is_characteristic(p, s1)
+            ok = _characteristic_mask(p, s1) is not None
             assert ok == sum_is_characteristic(p, s1), (p.q, s1)
             noncharacteristic += not ok
             bits = [SpinStructure(tuple(x & 1 for x in s.c)) for s in (s1, s2)]

@@ -8,7 +8,7 @@ import pytest
 from imm5 import intlinalg
 from imm5.cli import parse_manifold
 from imm5.fixtures import e8_form, presentation
-from imm5.intlinalg import IntSymMatrix, congruence, direct_sum, signature, solve_mod2
+from imm5.intlinalg import IntSymMatrix, congruence, signature, solve_mod2
 from imm5.surgery import (
     Gamma2Element,
     HomologyProfile,
@@ -16,7 +16,6 @@ from imm5.surgery import (
     even_torsion_positions,
     gamma2_elements,
     homology_profile,
-    is_even_presentation,
 )
 from imm5.spin import spin_structures, wu_coset_of_difference
 from imm5.verify import random_even_symmetric_nonsingular, random_symmetric
@@ -24,6 +23,17 @@ from imm5.verify import random_even_symmetric_nonsingular, random_symmetric
 
 def _pres(rows, name="m"):
     return SurgeryPresentation(name, IntSymMatrix(rows))
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum of two symmetric integer matrices."""
+    return IntSymMatrix([list(r) + [0] * b.n for r in a.entries]
+                        + [[0] * a.n + list(r) for r in b.entries])
+
+
+def is_even_presentation(p):
+    """True iff every framing is even, i.e. the presented 4-manifold is spin."""
+    return all(d % 2 == 0 for d in p.q.diagonal())
 
 
 class TestHomologyProfile:
