@@ -140,6 +140,8 @@ def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
         count = "" if length is None else f"{length} "
         raise ParseError(
             f"{where}: expected a list of {count}integers, got {_QUOTE.repr(value)}")
+    if set(map(type, value)) <= {int}:  # type(True) is bool, so booleans go to _int
+        return tuple(value)
     return tuple(_int(v, where) for v in value)
 
 

@@ -7,7 +7,8 @@ Smith pivot loop serves ``smith_normal_form``, with both unimodular
 transforms, and ``smith_mod2``, with the factors and u^{-1} mod 2 only,
 so no transform entry grows.  An ``IntSymMatrix`` q is reduced once over
 Z and once over Z2, on first use, and keeps both results: one symmetric
-Bareiss pass gives the signature, det q and an (n-1)-minor, from which
+Bareiss pass, on the upper triangle of the live block, gives the
+signature, det q and an (n-1)-minor, from which
 ``_factors_mod_det`` finds the factors of a nonsingular q modulo a
 divisor of det q; one Gauss-Jordan pass on q mod 2, augmented by diag q
 mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd, prod
 from typing import Iterator, Sequence
 
@@ -40,18 +42,23 @@ class IntSymMatrix:
     """
 
     def __init__(self, rows: Rows):
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        """Each row is checked once, at C speed, for exact ``int`` entries
+        and kept as it is; any other row is coerced through ``int()``.
+        Symmetry is one comparison with the transpose; only when it fails
+        does the scan run that names the first offending entry."""
+        entries = tuple(map(_int_row, rows))
         n = len(entries)
         for row in entries:
             if len(row) != n:
                 raise AsymmetricMatrix("matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise AsymmetricMatrix(
-                        f"entry ({i},{j}) = {_QUOTE.repr(entries[i][j])} differs "
-                        f"from entry ({j},{i}) = {_QUOTE.repr(entries[j][i])}"
-                    )
+        if entries != tuple(zip(*entries)):
+            for i in range(n):
+                for j in range(i):
+                    if entries[i][j] != entries[j][i]:
+                        raise AsymmetricMatrix(
+                            f"entry ({i},{j}) = {_QUOTE.repr(entries[i][j])} differs "
+                            f"from entry ({j},{i}) = {_QUOTE.repr(entries[j][i])}"
+                        )
         self.entries: tuple[tuple[int, ...], ...] = entries
 
     @property
@@ -89,6 +96,13 @@ class IntSymMatrix:
 
     def __repr__(self) -> str:
         return f"IntSymMatrix({[list(r) for r in self.entries]!r})"
+
+
+def _int_row(row) -> tuple[int, ...]:
+    """row as a tuple of ints: kept when every entry is exactly an ``int``,
+    else each entry goes through ``int()``."""
+    row = tuple(row)
+    return row if set(map(type, row)) <= {int} else tuple(map(int, row))
 
 
 def _as_row_lists(a: IntSymMatrix | Rows) -> list[list[int]]:
@@ -422,17 +436,24 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
     divides exactly by p, and the rational pivot the step stands for is
     new/p: positive when the new pivot has the sign of p.
 
-    Scaling is lazy: a row whose pivot-column entry is 0 is left as it
-    is and remembers the pivot ``level[i]`` it was last scaled by, so a
-    sparse matrix costs little more than its nonzero entries.  Row i
-    times (current pivot) / level[i] is its value in the current block,
-    an integer because every such entry is a bordered minor.
+    The block is symmetric, so only its upper triangle is kept: live row
+    i is updated on columns >= i alone, and the entry c it would hold in
+    the pivot column is read from the pivot row, as piv[i].  Rows with
+    piv[i] = 0 are skipped, so a sparse matrix costs little more than its
+    nonzero entries.  Scaling is lazy: a skipped row is left as it is and
+    remembers the pivot ``level[i]`` it was last scaled by.  Row i times
+    (current pivot) / level[i] is its value in the current block, an
+    integer because every such entry is a bordered minor; so is c, brought
+    to row i's level as piv[i] * level[i] / (current pivot).
 
     The symmetric swap and the hyperbolic "mate" step are congruences by
     unimodular matrices, so the pivots are the leading minors of a
     matrix unimodularly congruent to M: the last is det M unless a zero
     row turned up, when det M = 0, and the one before it (1 when n <= 1)
-    is an (n-1)-minor of that matrix.
+    is an (n-1)-minor of that matrix.  They need the lower half, so when
+    the next diagonal entry is 0 every live row is first brought to the
+    current level and the lower half of the live block is copied from the
+    upper half.
     """
     n = len(M)
     level = [1] * n
@@ -442,10 +463,14 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
     t = 0
     while t < n:
         if M[t][t] == 0:
+            for i in range(t, n):
+                row = M[i]
+                _rescale(row, i, level[i], prev)
+                level[i] = prev
+                row[t:i] = [M[j][i] for j in range(t, i)]
             swap = next((j for j in range(t + 1, n) if M[j][j] != 0), None)
             if swap is not None:
                 M[t], M[swap] = M[swap], M[t]
-                level[t], level[swap] = level[swap], level[t]
                 for k in range(t, n):
                     row = M[k]
                     row[t], row[swap] = row[swap], row[t]
@@ -457,11 +482,7 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
                     t += 1
                     continue
                 # all remaining diagonal entries vanish, so this makes
-                # M[t][t] = 2*M[t][mate] != 0; both rows first come to
-                # the current scale
-                for i in (t, mate):
-                    _rescale(M[i], t, level[i], prev)
-                    level[i] = prev
+                # M[t][t] = 2*M[t][mate] != 0
                 rt, rm = M[t], M[mate]
                 for j in range(t, n):
                     rt[j] += rm[j]
@@ -474,15 +495,12 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
-        ptail = piv[t + 1:]
-        for i in range(t + 1, n):
+        for i in compress(range(t + 1, n), piv[t + 1:]):
             row = M[i]
-            c = row[t]
-            if c:
-                lv = level[i]
-                row[t + 1:] = [(p * x - c * y) // lv
-                               for x, y in zip(row[t + 1:], ptail)]
-                level[i] = p
+            lv = level[i]
+            c = piv[i] if lv == prev else piv[i] * lv // prev
+            row[i:] = [(p * x - c * y) // lv for x, y in zip(row[i:], piv[i:])]
+            level[i] = p
         minor, prev = prev, p
         t += 1
     return pos - neg, 0 if singular else prev, minor
@@ -566,6 +584,17 @@ class Mod2Solution:
             x ^= table[k & _BYTE]
             k >>= _TAIL
         return x
+
+    def index(self, x: int) -> int:
+        """The k with ``mask(k) == x``, for a solution x of a Gauss-Jordan
+        pass: each kernel vector there has its free column as its top bit,
+        which no other kernel vector sets, so the bits of k are those
+        columns' bits of x XOR the particular solution."""
+        x ^= self._tables[0]
+        k = 0
+        for vec in map(_mask, self.kernel):
+            k = (k << 1) | ((x >> (vec.bit_length() - 1)) & 1)
+        return k
 
     def masks(self) -> Iterator[int]:
         """``mask(0)``, ``mask(1)``, ... streamed: each head ``mask(k)``

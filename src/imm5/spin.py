@@ -10,10 +10,12 @@ presentation computes once and keeps.
 Spin vectors are int bitmasks (bit j is c_j mod 2) everywhere inside:
 ``spin_structures`` is a sequence over the solution that q keeps from
 its one Z2 reduction, and unpacks a mask to a ``SpinStructure`` tuple
-only when that element is read.  The characteristic test XORs the rows
-of q mod 2 kept with that reduction at the set bits of c and compares
-the result with the kept diagonal mask; it yields the mask of c, and a
-difference of two spin structures is the XOR of their masks.
+only when that element is read; membership and ``index`` go the other
+way, from a vector to its mask and its position.  The characteristic
+test XORs the rows of q mod 2 kept with that reduction at the set bits
+of c and compares the result with the kept diagonal mask; it yields the
+mask of c, and a difference of two spin structures is the XOR of their
+masks.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ def _characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None
 
 
 class _SpinSpace(Sequence):
-    """The solutions of q c = diag(q) mod 2 in ``masks`` order, unpacked on read."""
+    """The solutions of q c = diag(q) mod 2 in ``masks`` order, unpacked on
+    read.  Membership, ``count`` and ``index`` solve the characteristic
+    equation instead of scanning the elements."""
 
     def __init__(self, p: SurgeryPresentation):
-        self._sol, self._n = p.q._over_z2[2], p.n
+        self._p, self._sol, self._n = p, p.q._over_z2[2], p.n
 
     def _unpack(self, x: int) -> SpinStructure:
         bits: tuple[int, ...] = ()
@@ -87,6 +91,30 @@ class _SpinSpace(Sequence):
         if not -count <= k < count:
             raise IndexError("spin structure index out of range")
         return self._unpack(self._sol.mask(k % count))
+
+    def _member_mask(self, s) -> int | None:
+        """The mask of s if s equals an element, else None.  Equality is
+        the one a list of the elements applies: a ``SpinStructure`` whose c
+        is a tuple of n entries, each equal to 0 or 1."""
+        if (type(s) is not SpinStructure or not isinstance(s.c, tuple)
+                or not all(x == 0 or x == 1 for x in s.c)):
+            return None
+        return _characteristic_mask(self._p, SpinStructure(tuple(x == 1 for x in s.c)))
+
+    def __contains__(self, s) -> bool:
+        return self._member_mask(s) is not None
+
+    def count(self, s) -> int:
+        return int(s in self)
+
+    def index(self, s, start=0, stop=None) -> int:
+        window = range(*slice(start, stop).indices(self._sol.count))
+        x = self._member_mask(s)
+        if x is not None:
+            k = self._sol.index(x)
+            if k in window:
+                return k
+        raise ValueError(f"{_QUOTE.repr(s)} is not in the sequence")
 
 
 def spin_structures(p: SurgeryPresentation) -> Sequence[SpinStructure]:

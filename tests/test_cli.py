@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,35 @@ class TestFileFormats:
     def test_string_encoded_matrix_entries(self):
         m = parse_manifold({"linking_matrix": [[str(2 ** 64)]]})
         assert m.profile.torsion_factors == (2 ** 64,)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[True]], "linking_matrix[0]: expected an integer, got a boolean"),
+        ([[1, 0], [0, False]], "linking_matrix[1]: expected an integer, got a boolean"),
+        ([[1, 2.0], [2, 1]], "linking_matrix[0]: expected an integer, got 2.0"),
+        ([[1, None]], "linking_matrix[0]: expected an integer, got None"),
+    ], ids=["true", "false-after-ints", "float", "null"])
+    def test_bad_matrix_entries_are_named(self, capsys, tmp_path, matrix, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_manifold({"linking_matrix": matrix})
+        path = write_json(tmp_path, "m.json", {"linking_matrix": matrix})
+        assert run(capsys, "analyze", path) == (2, "", f"ParseError: {message}\n")
+
+    def test_signature_list_with_boolean_fails(self):
+        with pytest.raises(ParseError, match="expected an integer, got a boolean"):
+            parse_manifold({"linking_matrix": [[0]],
+                            "spin_boundary_signatures": {"0": [0, True]}})
+
+    def test_mixed_entry_rows_parse(self):
+        big = 2 ** 70 + 1
+        m = parse_manifold({"linking_matrix": [[str(big), 1], [" 1 ", "-3"]]})
+        assert m.presentation.q.entries == ((big, 1), (1, -3))
+        assert all(type(x) is int for row in m.presentation.q.entries for x in row)
+
+    def test_first_asymmetric_entry_is_named(self, capsys, tmp_path):
+        path = write_json(tmp_path, "m.json",
+                          {"linking_matrix": [[0, 1, 2], [1, 0, 6], [3, 4, 0]]})
+        assert run(capsys, "analyze", path) == (
+            2, "", "AsymmetricMatrix: entry (2,0) = 3 differs from entry (0,2) = 2\n")
 
     def test_records_resolve_manifold_by_path(self, tmp_path):
         mpath = write_json(tmp_path, "m.json",

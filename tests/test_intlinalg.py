@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imm5.errors import AsymmetricMatrix, NoSolution
+from imm5.errors import _QUOTE, AsymmetricMatrix, NoSolution
 from imm5.fixtures import e8_form
 from imm5.intlinalg import (
     IntSymMatrix,
@@ -67,6 +67,32 @@ class TestIntSymMatrix:
     def test_square_enforced(self):
         with pytest.raises(AsymmetricMatrix):
             IntSymMatrix([[1, 2]])
+
+    def test_entries_coerced_through_int(self):
+        a = IntSymMatrix([[2, 1, 3], [1.9, True, 4], (x for x in (3, 4.5, 8))])
+        assert a.entries == ((2, 1, 3), (1, 1, 4), (3, 4, 8))
+        assert all(type(x) is int for row in a.entries for x in row)
+        assert IntSymMatrix([[False, -2.0], [-2, 1]]).entries == ((0, -2), (-2, 1))
+        assert IntSymMatrix(["12", "21"]).entries == ((1, 2), (2, 1))
+        with pytest.raises(ValueError):
+            IntSymMatrix([[float("nan")]])
+        with pytest.raises(TypeError):
+            IntSymMatrix([[None]])
+
+    def test_int_rows_kept(self):
+        row = (5, 2 ** 80)
+        a = IntSymMatrix([row, [2 ** 80, -1]])
+        assert a.entries[0] is row and a.entries == ((5, 2 ** 80), (2 ** 80, -1))
+
+    def test_asymmetry_names_first_entry(self):
+        with pytest.raises(AsymmetricMatrix,
+                           match=r"^entry \(2,1\) = 4 differs from entry \(1,2\) = 6$"):
+            IntSymMatrix([[0, 1, 2, 2], [1, 0, 6, 0], [2, 4, 0, 0], [9, 0, 0, 0]])
+        big = 7 * 10 ** 50
+        with pytest.raises(AsymmetricMatrix) as exc:
+            IntSymMatrix([[0, big], [1.0, 0]])
+        assert str(exc.value) == (f"entry (1,0) = {_QUOTE.repr(1)} differs "
+                                  f"from entry (0,1) = {_QUOTE.repr(big)}")
 
     def test_empty_is_legal(self):
         assert IntSymMatrix([]).n == 0

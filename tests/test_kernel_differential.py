@@ -18,6 +18,13 @@ kept here verbatim.
 Four seeded families of 2,500 matrices each cover general, singular,
 zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
 
+The symmetric Bareiss pass ``_signature_det``, which keeps only the
+upper triangle, is checked against the former full-storage pass, kept
+here verbatim: the same (signature, det, minor) triple, on the four
+families and on plumbing chains, dense matrices up to n = 60, the empty
+and 1 x 1 matrices, matrices with zero rows, and block sums that force
+several swaps and hyperbolic mates in one pass.
+
 H1 as ``homology_profile`` computes it (factors modulo the determinant
 and the generator read off ker(q mod 2) when q is nonsingular and
 alpha <= 1, the Smith route otherwise) is checked against the former
@@ -29,8 +36,11 @@ block sums, and diagonals sharing odd primes, whose factors modulo the
 determinant leave a non-unit block.
 """
 
+import inspect
 import random
 import itertools
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul
@@ -46,6 +56,7 @@ from imm5.intlinalg import (
     _as_row_lists,
     _factors_mod_det,
     _gauss_jordan_mod2,
+    _rescale,
     _signature_det,
     _smith_reduce,
     det_int,
@@ -67,6 +78,7 @@ from imm5.surgery import (
     even_torsion_positions,
     homology_profile,
 )
+from imm5.verify import random_symmetric
 
 PER_FAMILY = 2500
 FAMILIES = ("general", "singular", "zero_diagonal", "even_torsion")
@@ -648,3 +660,193 @@ def test_spin_predicate_and_wu_match_tuple_reference():
             wu_mapped += 1
     assert noncharacteristic >= 1000 and nonbit >= 1000
     assert wu_rejected >= 1000 and wu_mapped >= 1000
+
+
+def full_signature_det(M: list[list[int]]) -> tuple[int, int, int]:
+    """(signature, determinant, an (n-1)-minor) of the symmetric matrix
+    M, consumed.
+
+    Symmetric Bareiss elimination (Bareiss 1968).  After a pivot p the
+    trailing block holds p times the Schur complement, so the next step
+    divides exactly by p, and the rational pivot the step stands for is
+    new/p: positive when the new pivot has the sign of p.
+
+    Scaling is lazy: a row whose pivot-column entry is 0 is left as it
+    is and remembers the pivot ``level[i]`` it was last scaled by, so a
+    sparse matrix costs little more than its nonzero entries.  Row i
+    times (current pivot) / level[i] is its value in the current block,
+    an integer because every such entry is a bordered minor.
+
+    The symmetric swap and the hyperbolic "mate" step are congruences by
+    unimodular matrices, so the pivots are the leading minors of a
+    matrix unimodularly congruent to M: the last is det M unless a zero
+    row turned up, when det M = 0, and the one before it (1 when n <= 1)
+    is an (n-1)-minor of that matrix.
+    """
+    n = len(M)
+    level = [1] * n
+    prev = minor = 1
+    pos = neg = 0
+    singular = False
+    t = 0
+    while t < n:
+        if M[t][t] == 0:
+            swap = next((j for j in range(t + 1, n) if M[j][j] != 0), None)
+            if swap is not None:
+                M[t], M[swap] = M[swap], M[t]
+                level[t], level[swap] = level[swap], level[t]
+                for k in range(t, n):
+                    row = M[k]
+                    row[t], row[swap] = row[swap], row[t]
+            else:
+                mate = next((j for j in range(t + 1, n) if M[t][j] != 0), None)
+                if mate is None:
+                    # zero row: a zero eigenvalue, no signature contribution
+                    singular = True
+                    t += 1
+                    continue
+                # all remaining diagonal entries vanish, so this makes
+                # M[t][t] = 2*M[t][mate] != 0; both rows first come to
+                # the current scale
+                for i in (t, mate):
+                    _rescale(M[i], t, level[i], prev)
+                    level[i] = prev
+                rt, rm = M[t], M[mate]
+                for j in range(t, n):
+                    rt[j] += rm[j]
+                for k in range(t, n):
+                    M[k][t] += M[k][mate]
+        piv = M[t]
+        _rescale(piv, t, level[t], prev)
+        p = piv[t]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        ptail = piv[t + 1:]
+        for i in range(t + 1, n):
+            row = M[i]
+            c = row[t]
+            if c:
+                lv = level[i]
+                row[t + 1:] = [(p * x - c * y) // lv
+                               for x, y in zip(row[t + 1:], ptail)]
+                level[i] = p
+        minor, prev = prev, p
+        t += 1
+    return pos - neg, 0 if singular else prev, minor
+
+
+
+def reference_events(rows) -> tuple[int, int]:
+    """(swaps, mates) the reference pass makes on rows: the executions of
+    the line that starts each, counted by a line tracer."""
+    lines, first = inspect.getsourcelines(full_signature_det)
+    starts = {text.strip(): first + k for k, text in enumerate(lines)}
+    swap_line = starts["M[t], M[swap] = M[swap], M[t]"]
+    mate_line = starts["rt, rm = M[t], M[mate]"]
+    code = full_signature_det.__code__
+    counts = Counter()
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno] += 1
+        return count_lines
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
+    try:
+        full_signature_det([list(r) for r in rows])
+    finally:
+        sys.settrace(old)
+    return counts[swap_line], counts[mate_line]
+
+
+def plumbing_tree(rng: random.Random, n: int) -> list[list[int]]:
+    """A plumbing tree, mostly a chain, with framings that include 0."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice((-2, -2, -1, 0, 1, 2, -3))
+        if i:
+            j = i - 1 if rng.random() < 0.8 else rng.randrange(i)
+            rows[i][j] = rows[j][i] = rng.choice((1, 1, -1, 2))
+    return rows
+
+
+def zeroed_rows(rng: random.Random) -> list[list[int]]:
+    """A family instance with some rows (and their columns) set to 0."""
+    rows = instance(FAMILIES[rng.randrange(len(FAMILIES))], rng) or [[0]]
+    for k in rng.sample(range(len(rows)), rng.randint(1, len(rows))):
+        for j in range(len(rows)):
+            rows[k][j] = rows[j][k] = 0
+    return rows
+
+
+def swaps_and_mates(rng: random.Random) -> list[list[int]]:
+    """A block sum of hyperbolic planes a*H, zero-diagonal 3 x 3 blocks,
+    1 x 1 blocks (0 among them) and now and then a congruent pair,
+    symmetrically permuted: the zero diagonal entries force swaps and,
+    once no nonzero diagonal entry is left, mates."""
+    blocks = []
+    for _ in range(rng.randint(2, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            a = rng.choice((1, -1, 2, 3))
+            blocks.append([[0, a], [a, 0]])
+        elif kind == 1:
+            a, b, c = (rng.choice((0, 1, -1, 2)) for _ in range(3))
+            blocks.append([[0, a, b], [a, 0, c], [b, c, 0]])
+        elif kind == 2:
+            blocks.append([[rng.choice((0, 1, -1, 2, -5))]])
+        else:
+            blocks.append(_congruent_diagonal(rng, [rng.choice((1, -1, 2)), 0]))
+    n = sum(map(len, blocks))
+    full = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            full[at + i][at:at + len(b)] = row
+        at += len(b)
+    perm = rng.sample(range(n), n)
+    return [[full[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def upper_triangle_cases():
+    """(kind, rows) for the differential of the upper-triangle pass."""
+    for family in FAMILIES:
+        rng = random.Random(f"upper-{family}")
+        for _ in range(PER_FAMILY):
+            yield family, instance(family, rng)
+    rng = random.Random("upper-plumbing")
+    for n in range(1, 61):
+        yield "chain", [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)]
+                        for i in range(n)]
+        for _ in range(5):
+            yield "plumbing", plumbing_tree(rng, n)
+    for n in (20, 30, 40, 50, 60):
+        yield "dense", [list(r) for r in random_symmetric(random.Random(n), n).entries]
+    yield "empty", []
+    for x in (0, 1, -1, 2, -7, 10 ** 40):
+        yield "1x1", [[x]]
+    rng = random.Random("upper-zero-rows")
+    for _ in range(500):
+        yield "zero_rows", zeroed_rows(rng)
+    rng = random.Random("upper-swaps-mates")
+    for _ in range(1000):
+        yield "swaps_mates", swaps_and_mates(rng)
+
+
+def test_upper_triangle_pass_matches_full_storage_reference():
+    kinds = Counter()
+    several_swaps = several_mates = both = 0
+    for kind, rows in upper_triangle_cases():
+        want = full_signature_det([list(r) for r in rows])
+        assert _signature_det([list(r) for r in rows]) == want, (kind, rows)
+        kinds[kind] += 1
+        if kind == "swaps_mates":
+            swaps, mates = reference_events(rows)
+            several_swaps += swaps >= 2
+            several_mates += mates >= 2
+            both += swaps >= 2 and mates >= 2
+    assert sum(kinds.values()) == 4 * PER_FAMILY + 60 * 6 + 5 + 1 + 6 + 500 + 1000
+    assert several_swaps >= 600 and several_mates >= 500 and both >= 400

@@ -70,6 +70,72 @@ class TestEnumeration:
             assert len(set(sols)) == len(sols)
 
 
+class _Sub(SpinStructure):
+    pass
+
+
+def _membership_probes(rng, n, listed):
+    """Vectors to look up: every element, random 0/1 vectors, the wrong
+    length, entries 2, -1, True, 1.0 or 0.0 in place of a bit, c as a
+    list, a subclass and a bare tuple."""
+    probes = list(listed)
+    for _ in range(6):
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        probes.append(SpinStructure(tuple(bits)))
+        if n:
+            k = rng.randrange(n)
+            swapped = {0: (0.0, False, -2), 1: (True, 1.0, -1, 3)}[bits[k]]
+            bits[k] = rng.choice(swapped + (2,))
+            probes.append(SpinStructure(tuple(bits)))
+    member = rng.choice(listed)
+    probes += [SpinStructure(member.c + (0,)), SpinStructure(member.c[:-1]),
+               SpinStructure(list(member.c)), _Sub(member.c), member.c]
+    return probes
+
+
+class TestMembership:
+    """``in``, ``count`` and ``index`` against the list of the elements."""
+
+    def test_matches_list(self):
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(0, 7)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, 3))
+            spins = spin_structures(_pres(rows))
+            listed = list(spins)
+            for s in _membership_probes(rng, n, listed):
+                assert (s in spins) == (s in listed), (rows, s)
+                assert spins.count(s) == listed.count(s), (rows, s)
+                ends = (0, 1, -1, len(listed) - 1, len(listed), -len(listed) - 3)
+                for start, stop in [(0, None), *itertools.product(ends, repeat=2)]:
+                    window = (start,) if stop is None else (start, stop)
+                    try:
+                        want = listed.index(s, *window)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            spins.index(s, *window)
+                    else:
+                        assert spins.index(s, *window) == want, (rows, s, window)
+                        checked += 1
+        assert checked >= 5000
+
+    def test_past_sys_maxsize(self):
+        """#70 S1xS2: membership and index solve for the vector instead of
+        scanning 2**70 elements."""
+        spins = spin_structures(_pres([[0] * 70 for _ in range(70)]))
+        last = SpinStructure((1,) * 70)
+        assert last in spins and spins.count(last) == 1
+        assert spins.index(last) == 2 ** 70 - 1
+        assert spins.index(SpinStructure((0,) * 70)) == 0
+        assert SpinStructure((1,) * 69 + (2,)) not in spins
+        with pytest.raises(ValueError):
+            spins.index(last, 0, -1)
+
+
 class TestWuCoset:
     def test_equal_structures_map_to_zero(self):
         p = presentation("rp3")
