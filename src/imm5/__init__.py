@@ -74,53 +74,6 @@ from .surgery import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMatrix",
-    "CosetUncovered",
-    "EmbeddingClassSet",
-    "Gamma2Element",
-    "HomologyProfile",
-    "HypothesisViolated",
-    "Imm5Error",
-    "ImmersionDoubleData",
-    "IntSymMatrix",
-    "InvalidSpinStructure",
-    "MissingData",
-    "Mod2Solution",
-    "NoSolution",
-    "ParityError",
-    "ParityViolation",
-    "ParseError",
-    "RegHomotopyClass",
-    "SeifertFillingR5",
-    "SeifertFillingR6",
-    "SmaleClass",
-    "SmithDecomposition",
-    "SmithMod2",
-    "SpinBoundarySignatures",
-    "SpinStructure",
-    "SurgeryPresentation",
-    "WuCoset",
-    "WuMismatch",
-    "congruence",
-    "connected_sum_act",
-    "det_int",
-    "embedding_classes",
-    "gamma2_elements",
-    "homology_profile",
-    "i_a",
-    "i_b",
-    "is_embedding_class",
-    "rohlin_compatible",
-    "seifert_signature_criterion",
-    "signature",
-    "smale_via_seifert_r5",
-    "smale_via_seifert_r6",
-    "smith_mod2",
-    "smith_normal_form",
-    "solve_for_summand",
-    "solve_mod2",
-    "spin_structures",
-    "track_correction",
-    "wu_coset_of_difference",
-]
+# every class and function imported above, which is the public surface
+__all__ = sorted(name for name, obj in globals().items()
+                 if getattr(obj, "__module__", "").startswith("imm5."))

@@ -9,7 +9,8 @@ A record file holds one list per record kind (``RECORD_KINDS``) and an
 optional ``double_data`` object.  ``_record`` reads each record from the
 fields of its dataclass: a field without a default is required, an
 absent one takes its default, and a present value goes through the
-reader for the field's declared type.  Errors name ``<id>.<field>``.
+reader for the field's declared type.  Errors name ``<id>.<field>``,
+non-printable characters of the id escaped.
 A record's name, its ``id`` or else ``<prefix>[<index>]``, is unique
 within the file.
 Integers may be written as decimal strings of any length and stay
@@ -76,15 +77,24 @@ INT_STRING_BOUND = 2 ** 53
 _INT_RE = re.compile(r"-?[0-9]+$")
 
 
-def _label(name: str) -> str:
-    """A record id or coset key as an error message names it: cut in the
-    middle, as _QUOTE cuts a string, when longer than _QUOTE.maxstring.
-    Reports name records whole."""
+def _cut(text: str) -> str:
+    """text cut in the middle, as _QUOTE cuts a string, when longer than
+    _QUOTE.maxstring."""
     cut = _QUOTE.maxstring
-    if len(name) <= cut:
-        return name
+    if len(text) <= cut:
+        return text
     head = (cut - 3) // 2
-    return name[:head] + "..." + name[len(name) - (cut - 3 - head):]
+    return text[:head] + "..." + text[len(text) - (cut - 3 - head):]
+
+
+def _label(name: str) -> str:
+    """A record id as an error message names it: each non-printable
+    character escaped as repr escapes it, so that the message stays one
+    line, then cut by _cut.  Coset keys are quoted by repr instead, which
+    escapes them itself.  Reports name records whole."""
+    if not name.isprintable():
+        name = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in name)
+    return _cut(name)
 
 
 # ----------------------------------------------------------------------
@@ -226,11 +236,11 @@ def parse_manifold(data: dict) -> ManifoldData:
         per_coset: dict[Gamma2Element, frozenset[int]] = {}
         for key, values in block.items():
             coset = parse_wu_coords(key, profile.alpha)
-            sigs = frozenset(_ints(values, f"signatures for coset {_label(key)!r}"))
+            sigs = frozenset(_ints(values, f"signatures for coset {_cut(key)!r}"))
             for s0 in sigs:
                 if (s0 - profile.alpha) % 2:
                     raise ParityViolation(
-                        f"base signature {_QUOTE.repr(s0)} for coset {_label(key)!r} "
+                        f"base signature {_QUOTE.repr(s0)} for coset {_cut(key)!r} "
                         f"has the wrong parity (alpha = {profile.alpha})"
                     )
             per_coset[coset] = per_coset.get(coset, frozenset()) | sigs
@@ -445,10 +455,8 @@ def invariant_report(sd: SeifertData, want_ia: bool, want_ib: bool) -> dict:
 
 def render_invariant(rep: dict) -> str:
     lines = [f"manifold: {rep['name']} (α = {rep['alpha']})"]
-    for entry in rep["i_a"]:
-        lines.append(f"i_a[{entry['id']}] = {entry['value']}")
-    for entry in rep["i_b"]:
-        lines.append(f"i_b[{entry['id']}] = {entry['value']}")
+    lines.extend(f"{route}[{entry['id']}] = {entry['value']}"
+                 for route in ("i_a", "i_b") for entry in rep[route])
     if rep["i_a"] or rep["i_b"]:
         mark = "✓" if rep["coincide"] else "✗"
         lines.append(f"all routes agree: {mark}")
@@ -580,7 +588,7 @@ def corollaries_report() -> dict:
     }
 
 
-def oracles_report(seed: int, trials: int = 500) -> dict:
+def oracles_report(seed: int, trials: int) -> dict:
     from .verify import run_oracles  # so that no other command loads verify
 
     reports = run_oracles(seed=seed, trials=trials)
@@ -635,33 +643,23 @@ def _emit(rep: dict, renderer, as_json: bool) -> None:
         raise Imm5Error(f"cannot write the report to stdout ({exc.strerror})") from None
 
 
-def _cmd_analyze(args) -> int:
-    rep = analyze_report(load_manifold(args.file))
-    _emit(rep, render_analyze, args.json)
-    return 0
+def _cmd_analyze(args) -> dict:
+    return analyze_report(load_manifold(args.file))
 
 
-def _cmd_invariant(args) -> int:
-    sd = load_records(args.file)
-    want_ia = args.ia or not args.ib
-    want_ib = args.ib or not args.ia
-    rep = invariant_report(sd, want_ia, want_ib)
-    _emit(rep, render_invariant, args.json)
-    return 0 if rep["passed"] else 1
+def _cmd_invariant(args) -> dict:
+    return invariant_report(load_records(args.file),
+                            want_ia=args.ia or not args.ib,
+                            want_ib=args.ib or not args.ia)
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args) -> dict:
     m = load_manifold(args.file)
-    wu = parse_wu_coords(args.wu, m.profile.alpha)
-    rep = act_report(m, wu, args.i, args.omega)
-    _emit(rep, render_act, args.json)
-    return 0
+    return act_report(m, parse_wu_coords(args.wu, m.profile.alpha), args.i, args.omega)
 
 
-def _cmd_embeddings(args) -> int:
-    rep = embeddings_report(load_manifold(args.file))
-    _emit(rep, render_embeddings, args.json)
-    return 0
+def _cmd_embeddings(args) -> dict:
+    return embeddings_report(load_manifold(args.file))
 
 
 def _resolve_seed(args) -> int:
@@ -677,28 +675,24 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     if args.trials < 1:
         raise ParseError(
             f"--trials must be at least 1, got {_QUOTE.repr(args.trials)}")
+    everything = not (args.file or args.corollaries or args.oracles)
     sections = []
     if args.file:
         sections.append(verify_file_report(load_records(args.file)))
-    if args.corollaries:
+    if args.corollaries or everything:
         sections.append(corollaries_report())
-    if args.oracles:
+    if args.oracles or everything:
         sections.append(oracles_report(_resolve_seed(args), trials=args.trials))
-    if not sections:
-        sections = [corollaries_report(),
-                    oracles_report(_resolve_seed(args), trials=args.trials)]
-    rep = {
+    return {
         "command": "verify",
         "mode": sections[0]["mode"] if len(sections) == 1 else "combined",
         "sections": sections,
         "passed": all(s["passed"] for s in sections),
     }
-    _emit(rep, render_verify, args.json)
-    return 0 if rep["passed"] else 1
 
 
 def _int_option(text: str) -> int:
@@ -721,28 +715,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="homology, Gamma2 and class census")
     p.add_argument("file", help="manifold JSON file or fixture name")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, render=render_analyze)
 
     p = sub.add_parser("invariant", help="integer invariant from Seifert records")
     p.add_argument("file", help="Seifert record JSON file")
     p.add_argument("--ia", action="store_true", help="cusp route only")
     p.add_argument("--ib", action="store_true", help="triple-point route only")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariant)
+    p.set_defaults(func=_cmd_invariant, render=render_invariant)
 
     p = sub.add_parser("act", help="connected sum with a sphere immersion")
     p.add_argument("file", help="manifold JSON file or fixture name")
     p.add_argument("--wu", required=True, help="Wu coordinates, e.g. 0 or 01")
     p.add_argument("--i", required=True, type=_int_option)
     p.add_argument("--omega", required=True, type=_int_option)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_act)
+    p.set_defaults(func=_cmd_act, render=render_act)
 
     p = sub.add_parser("embeddings", help="embedding classes per Wu coset")
     p.add_argument("file", help="manifold JSON file or fixture name")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_embeddings)
+    p.set_defaults(func=_cmd_embeddings, render=render_embeddings)
 
     p = sub.add_parser("verify", help="validators, oracles and built-in checks")
     p.add_argument("file", nargs="?", help="Seifert record JSON file")
@@ -753,9 +743,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_option, default=None,
                    help=f"oracle seed (default: ${SEED_ENV} or 0)")
     p.add_argument("--trials", type=_int_option, default=500)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, render=render_verify)
 
+    for p in sub.choices.values():  # last, so it ends every usage line
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -768,7 +759,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        rep = args.func(args)
+        _emit(rep, args.render, args.json)
+        return 0 if rep.get("passed", True) else 1
     except ParityError as exc:
         print(f"ParityError: {exc}", file=sys.stderr)
         return 1

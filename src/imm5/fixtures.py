@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 from .intlinalg import IntSymMatrix
 from .surgery import SurgeryPresentation
 
@@ -33,14 +35,7 @@ def manifold_json(name: str) -> dict:
     key = _ALIASES.get(key, key)
     if key not in MANIFOLDS:
         raise KeyError(f"unknown fixture {name!r}; have {', '.join(fixture_names())}")
-    record = MANIFOLDS[key]
-    out = {"name": record["name"],
-           "linking_matrix": [list(r) for r in record["linking_matrix"]]}
-    if "spin_boundary_signatures" in record:
-        out["spin_boundary_signatures"] = {
-            k: list(v) for k, v in record["spin_boundary_signatures"].items()
-        }
-    return out
+    return copy.deepcopy(MANIFOLDS[key])
 
 
 def presentation(name: str) -> SurgeryPresentation:

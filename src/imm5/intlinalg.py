@@ -517,7 +517,7 @@ _BYTE = (1 << _TAIL) - 1
 
 def _mask(bits: Sequence[int]) -> int:
     """A 0/1 (or any integer) vector as a bitmask: bit j is bits[j] mod 2."""
-    return sum((x & 1) << j for j, x in enumerate(bits))
+    return sum(1 << j for j in compress(range(len(bits)), bits) if bits[j] & 1)
 
 
 def _gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:

@@ -103,48 +103,41 @@ class SmaleClass:
     omega: int
 
 
+_NO_FILLING = "no genuine filling yields this data"
+_NO_SURFACE = "the record is inconsistent with any singular Seifert surface"
+
+
+def _half(total: int, formula: str, reason: str) -> int:
+    """total / 2; a ParityError naming formula and reason when total is odd."""
+    if total % 2:
+        raise ParityError(f"{formula} = {_QUOTE.repr(total)} is odd; {reason}")
+    return total // 2
+
+
 def smale_via_seifert_r5(s: SeifertFillingR5) -> SmaleClass:
     """Omega = (3*sigma + #cusps) / 2."""
-    total = 3 * s.sigma + s.cusps_algebraic
-    if total % 2:
-        raise ParityError(
-            f"3*sigma + cusps = {_QUOTE.repr(total)} is odd; "
-            "no genuine filling yields this data"
-        )
-    return SmaleClass(total // 2)
+    return SmaleClass(_half(3 * s.sigma + s.cusps_algebraic,
+                            "3*sigma + cusps", _NO_FILLING))
 
 
 def smale_via_seifert_r6(s: SeifertFillingR6, d: ImmersionDoubleData) -> SmaleClass:
     """Omega = (3*sigma + 3t - 3l + L) / 2."""
-    total = 3 * (s.sigma + s.triple_points - s.singular_linking) + d.big_l
-    if total % 2:
-        raise ParityError(
-            f"3*(sigma + t - l) + L = {_QUOTE.repr(total)} is odd; "
-            "no genuine filling yields this data"
-        )
-    return SmaleClass(total // 2)
+    return SmaleClass(_half(
+        3 * (s.sigma + s.triple_points - s.singular_linking) + d.big_l,
+        "3*(sigma + t - l) + L", _NO_FILLING))
 
 
 def i_a(s: SeifertFillingR5, h: HomologyProfile) -> int:
     """i_a = 3/2*(sigma - alpha) + #cusps/2, always an integer."""
-    total = 3 * (s.sigma - h.alpha) + s.cusps_algebraic
-    if total % 2:
-        raise ParityError(
-            f"3*(sigma - alpha) + cusps = {_QUOTE.repr(total)} is odd; "
-            "the record is inconsistent with any singular Seifert surface"
-        )
-    return total // 2
+    return _half(3 * (s.sigma - h.alpha) + s.cusps_algebraic,
+                 "3*(sigma - alpha) + cusps", _NO_SURFACE)
 
 
 def i_b(s: SeifertFillingR6, d: ImmersionDoubleData, h: HomologyProfile) -> int:
     """i_b = 3/2*(sigma - alpha) + (3t - 3l + L)/2, always an integer."""
-    total = 3 * (s.sigma - h.alpha + s.triple_points - s.singular_linking) + d.big_l
-    if total % 2:
-        raise ParityError(
-            f"3*(sigma - alpha + t - l) + L = {_QUOTE.repr(total)} is odd; "
-            "the record is inconsistent with any singular Seifert surface"
-        )
-    return total // 2
+    return _half(
+        3 * (s.sigma - h.alpha + s.triple_points - s.singular_linking) + d.big_l,
+        "3*(sigma - alpha + t - l) + L", _NO_SURFACE)
 
 
 def connected_sum_act(f: RegHomotopyClass, g: SmaleClass) -> RegHomotopyClass:

@@ -124,11 +124,12 @@ def signature_via_charpoly(rows) -> int:
 # Random instance generators (desk scale)
 # ----------------------------------------------------------------------
 
-def random_symmetric(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> IntSymMatrix:
+def random_symmetric(rng: random.Random, n: int) -> IntSymMatrix:
+    """Random symmetric matrix, entries uniform in [-5, 5]."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            rows[i][j] = rows[j][i] = rng.randint(lo, hi)
+            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
     return IntSymMatrix(rows)
 
 
@@ -148,9 +149,9 @@ def random_even_symmetric_nonsingular(rng: random.Random, n: int) -> IntSymMatri
             return IntSymMatrix(rows)
 
 
-def random_int_matrix(rng: random.Random, m: int, n: int,
-                      lo: int = -5, hi: int = 5) -> list[list[int]]:
-    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+def random_int_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    """Random m x n integer matrix, entries uniform in [-5, 5]."""
+    return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
 
 
 def random_consistent_seifert_data(
@@ -209,27 +210,33 @@ class OracleReport:
                 f"{mark}")
 
 
+def _battery(name: str, trials: int, seed: int, trial) -> OracleReport:
+    """trials calls of trial(rng) on one generator seeded with seed; each
+    call returns a failure line, or None when the identity holds."""
+    rng = random.Random(seed)
+    failures = [line for line in (trial(rng) for _ in range(trials))
+                if line is not None]
+    return OracleReport(name, trials, tuple(failures))
+
+
 def oracle_parity_lemma(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleReport:
     """Size parity of random even nonsingular symmetric forms equals the
     parity of alpha of their cokernel, as ``homology_profile`` reads it."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(trials):
+    def trial(rng):
         n = rng.randint(1, max_dim)
         q = random_even_symmetric_nonsingular(rng, n)
         alpha = homology_profile(SurgeryPresentation("q", q)).alpha
         if (n - alpha) % 2:
-            failures.append(f"size {n} vs alpha {alpha} for {q.entries}")
-    return OracleReport("parity lemma", trials, tuple(failures))
+            return f"size {n} vs alpha {alpha} for {q.entries}"
+        return None
+    return _battery("parity lemma", trials, seed, trial)
 
 
 def oracle_snf(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleReport:
     """Smith form soundness and agreement with the determinantal-divisor
     oracle on random integer matrices; on the square nonsingular ones,
     the factors modulo the determinant agree with that oracle too."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(trials):
+    def trial(rng):
         m = rng.randint(0, max_dim)
         n = rng.randint(0, max_dim)
         a = random_int_matrix(rng, m, n)
@@ -239,70 +246,62 @@ def oracle_snf(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleRepo
         prod = [[sum(prod[i][k] * dec.v[k][j] for k in range(n)) for j in range(n)]
                 for i in range(m)]
         if tuple(tuple(r) for r in prod) != dec.s:
-            failures.append(f"u*a*v != s for {a}")
-            continue
+            return f"u*a*v != s for {a}"
         if abs(det_int(dec.u)) != 1 or abs(det_int(dec.v)) != 1:
-            failures.append(f"non-unimodular transform for {a}")
-            continue
+            return f"non-unimodular transform for {a}"
         want = invariant_factors_via_minors(a)
         if dec.invariant_factors != want:
-            failures.append(
-                f"factor mismatch for {a}: {dec.invariant_factors} vs {want}")
-            continue
+            return f"factor mismatch for {a}: {dec.invariant_factors} vs {want}"
         d = abs(det_int(a)) if m == n else 0
         got = _factors_mod_det(a, d, 0) if d else want
         if got != want:
-            failures.append(f"mod-det factor mismatch for {a}: {got} vs {want}")
-    return OracleReport("SNF", trials, tuple(failures))
+            return f"mod-det factor mismatch for {a}: {got} vs {want}"
+        return None
+    return _battery("SNF", trials, seed, trial)
 
 
 def oracle_signature(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleReport:
     """Congruence-reduction signature vs the root-sign-count oracle."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(trials):
-        n = rng.randint(0, max_dim)
-        q = random_symmetric(rng, n)
+    def trial(rng):
+        q = random_symmetric(rng, rng.randint(0, max_dim))
         got = signature(q)
         want = signature_via_charpoly(q.entries)
         if got != want:
-            failures.append(f"signature {got} vs oracle {want} for {q.entries}")
-    return OracleReport("signature", trials, tuple(failures))
+            return f"signature {got} vs oracle {want} for {q.entries}"
+        return None
+    return _battery("signature", trials, seed, trial)
 
 
 def oracle_invariant_coincidence(trials: int = 1000, seed: int = 0) -> OracleReport:
     """i_a = i_b and the mod-3 cusp residue on random consistent tuples."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(trials):
+    def trial(rng):
         r5, r6, d, h = random_consistent_seifert_data(rng)
         ia = i_a(r5, h)
         ib = i_b(r6, d, h)
         if ia != ib:
-            failures.append(f"i_a {ia} != i_b {ib} for {r5}, {r6}, {d}")
-        elif not check_cusp_residue(r5, d):
-            failures.append(f"cusp residue failed for {r5}, {d}")
-    return OracleReport("i_a = i_b coincidence", trials, tuple(failures))
+            return f"i_a {ia} != i_b {ib} for {r5}, {r6}, {d}"
+        if not check_cusp_residue(r5, d):
+            return f"cusp residue failed for {r5}, {d}"
+        return None
+    return _battery("i_a = i_b coincidence", trials, seed, trial)
 
 
 def oracle_gluing(trials: int = 500, seed: int = 0) -> OracleReport:
     """Closed-manifold identities on differences of filling pairs."""
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(trials):
+    def trial(rng):
         a5, b5 = random_r5_pair(rng)
         glued5 = ClosedMapRecordR5(a5.sigma - b5.sigma,
                                    a5.cusps_algebraic - b5.cusps_algebraic)
         if not check_closed_r5(glued5):
-            failures.append(f"5-space gluing failed for {a5}, {b5}")
-            continue
+            return f"5-space gluing failed for {a5}, {b5}"
         a6, b6 = random_r6_pair(rng)
         glued6 = ClosedMapRecordR6(a6.sigma - b6.sigma,
                                    a6.triple_points - b6.triple_points,
                                    a6.singular_linking - b6.singular_linking)
         if not check_closed_r6(glued6):
-            failures.append(f"6-space gluing failed for {a6}, {b6}")
-    return OracleReport("gluing coherence", trials, tuple(failures))
+            return f"6-space gluing failed for {a6}, {b6}"
+        return None
+    return _battery("gluing coherence", trials, seed, trial)
 
 
 def run_oracles(seed: int = 0, trials: int = 500) -> list[OracleReport]:
@@ -327,39 +326,31 @@ class CheckReport:
     lines: tuple[str, ...]
 
 
-def _sphere_embedding_set():
-    sigs = SpinBoundarySignatures.from_dict({Gamma2Element(()): [0]})
-    return embedding_classes(homology_profile(presentation("s3")), sigs)
+def _sweep_report(name: str, headline: str, bad: list[str]) -> CheckReport:
+    """A sweep's report: the headline marked by whether any case went bad,
+    then one line per bad case."""
+    mark = "✓" if not bad else "✗"
+    return CheckReport(name, not bad, (f"{headline} {mark}", *bad))
 
 
-def _torus_embedding_set():
-    h = homology_profile(presentation("t3"))
-    raw = manifold_json("t3")["spin_boundary_signatures"]
-    sigs = SpinBoundarySignatures.from_dict({Gamma2Element(()): raw["0"]})
-    return h, embedding_classes(h, sigs)
-
-
-def hughes_melvin_sweep(lo: int = -160, hi: int = 160) -> CheckReport:
+def hughes_melvin_sweep() -> CheckReport:
     """Sphere embeddings land exactly on 24Z.
 
     For cusp-free data, Omega = 3*sigma/2 is a multiple of 24 iff sigma
-    is a multiple of 16; signatures in 16Z + 8 land on 24Z + 12.
+    is a multiple of 16; signatures in 16Z + 8 land on 24Z + 12.  The
+    sweep runs over every multiple of 8 in [-160, 160].
     """
-    lines = []
+    lo, hi = -160, 160
     bad = []
     for sigma in range(lo, hi + 1, 8):
         omega = smale_via_seifert_r5(SeifertFillingR5(sigma, 0)).omega
-        hit = omega % 24 == 0
-        want = sigma % 16 == 0
-        if hit != want:
+        if (omega % 24 == 0) != (sigma % 16 == 0):
             bad.append(f"sigma = {sigma}: Omega = {omega}")
-    mark = "✓" if not bad else "✗"
-    lines.append(
+    return _sweep_report(
+        "hughes-melvin sweep",
         f"sphere embedding sweep: Ω = 3σ/2 ∈ 24ℤ exactly for "
-        f"σ ∈ 16ℤ over [{lo}, {hi}] {mark}"
-    )
-    lines.extend(bad)
-    return CheckReport("hughes-melvin sweep", not bad, tuple(lines))
+        f"σ ∈ 16ℤ over [{lo}, {hi}]",
+        bad)
 
 
 def torus_summand_obstruction() -> CheckReport:
@@ -370,14 +361,15 @@ def torus_summand_obstruction() -> CheckReport:
     signatures 0 and 8.  The unique summand h with F0 # h ~ F8 has
     Omega(h) = 12, which misses the sphere embedding set 24Z.
     """
-    torus = presentation("t3")
-    h = homology_profile(torus)
+    h = homology_profile(presentation("t3"))
     wu = Gamma2Element.zero(h.alpha)
     f0 = RegHomotopyClass(wu, i_a(SeifertFillingR5(0, 0), h))
     f8 = RegHomotopyClass(wu, i_a(SeifertFillingR5(8, 0), h))
     summand = solve_for_summand(f0, f8)
+    spheres = embedding_classes(homology_profile(presentation("s3")),
+                                SpinBoundarySignatures.from_dict({Gamma2Element(()): [0]}))
     embeddable = is_embedding_class(
-        RegHomotopyClass(Gamma2Element(()), summand.omega), _sphere_embedding_set())
+        RegHomotopyClass(Gamma2Element(()), summand.omega), spheres)
     passed = f0.i == 0 and f8.i == 12 and summand.omega == 12 and not embeddable
     mark = "✓" if passed else "✗"
     chain = ("12 = 3/2·8 = i(F₈) = i(F₀ ♯ h) = "
@@ -390,15 +382,20 @@ def torus_summand_obstruction() -> CheckReport:
     return CheckReport("torus summand obstruction", passed, lines)
 
 
-def torus_absorption_sweep(k_lo: int = -10, k_hi: int = 10) -> CheckReport:
+def torus_absorption_sweep() -> CheckReport:
     """Every torus embedding absorbs the Omega = 12 sphere immersion.
 
     For an embedding E bounding signature 8k, i(E # h) = 12(k + 1) with
     Omega(h) = 12; an embedding with the same class is F8 # e_n for
     even k (n = k/2) and F0 # e_n for odd k (n = (k+1)/2), where e_n is
-    the sphere embedding with Omega = 24n.
+    the sphere embedding with Omega = 24n.  The sweep runs over k in
+    [-10, 10].
     """
-    h, torus_set = _torus_embedding_set()
+    k_lo, k_hi = -10, 10
+    h = homology_profile(presentation("t3"))
+    raw = manifold_json("t3")["spin_boundary_signatures"]
+    torus_set = embedding_classes(
+        h, SpinBoundarySignatures.from_dict({Gamma2Element(()): raw["0"]}))
     wu = Gamma2Element.zero(h.alpha)
     f0_i = i_a(SeifertFillingR5(0, 0), h)
     f8_i = i_a(SeifertFillingR5(8, 0), h)
@@ -422,13 +419,11 @@ def torus_absorption_sweep(k_lo: int = -10, k_hi: int = 10) -> CheckReport:
             continue
         if not is_embedding_class(RegHomotopyClass(wu, i_total), torus_set):
             bad.append(f"k = {k}: class {i_total} not an embedding class")
-    mark = "✓" if not bad else "✗"
-    lines = [
+    return _sweep_report(
+        "torus absorption sweep",
         f"torus absorption sweep: i(E ♯ h) = 12(k+1) matched by an "
-        f"embedding class for all k in [{k_lo}, {k_hi}] {mark}"
-    ]
-    lines.extend(bad)
-    return CheckReport("torus absorption sweep", not bad, tuple(lines))
+        f"embedding class for all k in [{k_lo}, {k_hi}]",
+        bad)
 
 
 def run_reproductions() -> list[CheckReport]:

@@ -478,6 +478,29 @@ class TestFileFormats:
         assert code in (1, 2) and out == ""
         assert err.count("\n") == 1 and len(err) <= 300, err[:400]
 
+    @pytest.mark.parametrize("rid, shown", [
+        ("a\nb", r"a\nb"), ("a\rb", r"a\rb"), ("\r\n", r"\r\n"),
+        ("a\x85b\u2028c", r"a\x85b\u2028c"), ("tab\there", r"tab\there"),
+    ], ids=["newline", "carriage-return", "crlf", "unicode-breaks", "tab"])
+    def test_ids_with_line_breaks_stay_on_one_line(self, capsys, tmp_path, rid, shown):
+        cases = [
+            (["verify"], {"manifold": "t3", "fillings_r5": [{"id": rid, "sigma": 1}]},
+             2, f"ParseError: {shown}: missing field 'cusps_algebraic'\n"),
+            (["verify"], {"closed_records_r6": [
+                {"id": rid, "sigma": True, "triple_points": 0, "singular_linking": 0}]},
+             2, f"ParseError: {shown}.sigma: expected an integer, got a boolean\n"),
+            (["verify"], {"partition_records": [{"id": rid, "part_cusps": [6, 6]}] * 2},
+             2, f"ParseError: {shown}: duplicate id\n"),
+            (["invariant", "--ia"], {"manifold": "t3", "fillings_r5": [
+                {"id": rid, "sigma": 1, "cusps_algebraic": 0}]},
+             1, f"ParityError: record {shown}: 3*(sigma - alpha) + cusps = 3 is odd; "
+                "the record is inconsistent with any singular Seifert surface\n"),
+        ]
+        for argv, payload, exit_code, message in cases:
+            code, out, err = run(capsys, *argv, write_json(tmp_path, "r.json", payload))
+            assert (code, out, err) == (exit_code, "", message)
+            assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["analyze", "embeddings"])
     def test_long_asymmetric_entry_is_quoted(self, capsys, tmp_path, command):
         path = write_json(tmp_path, "m.json", {"linking_matrix": [[0, "7" * 6000], [1, 0]]})

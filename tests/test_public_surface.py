@@ -1,0 +1,67 @@
+"""The package's public names, listed in order.
+
+``imm5.__all__`` is derived from the package's import block, so an
+import added or dropped there changes the public surface; this list
+makes that change visible.
+"""
+
+import imm5
+
+PUBLIC = [
+    "AsymmetricMatrix",
+    "CosetUncovered",
+    "EmbeddingClassSet",
+    "Gamma2Element",
+    "HomologyProfile",
+    "HypothesisViolated",
+    "Imm5Error",
+    "ImmersionDoubleData",
+    "IntSymMatrix",
+    "InvalidSpinStructure",
+    "MissingData",
+    "Mod2Solution",
+    "NoSolution",
+    "ParityError",
+    "ParityViolation",
+    "ParseError",
+    "RegHomotopyClass",
+    "SeifertFillingR5",
+    "SeifertFillingR6",
+    "SmaleClass",
+    "SmithDecomposition",
+    "SmithMod2",
+    "SpinBoundarySignatures",
+    "SpinStructure",
+    "SurgeryPresentation",
+    "WuCoset",
+    "WuMismatch",
+    "congruence",
+    "connected_sum_act",
+    "det_int",
+    "embedding_classes",
+    "gamma2_elements",
+    "homology_profile",
+    "i_a",
+    "i_b",
+    "is_embedding_class",
+    "rohlin_compatible",
+    "seifert_signature_criterion",
+    "signature",
+    "smale_via_seifert_r5",
+    "smale_via_seifert_r6",
+    "smith_mod2",
+    "smith_normal_form",
+    "solve_for_summand",
+    "solve_mod2",
+    "spin_structures",
+    "track_correction",
+    "wu_coset_of_difference",
+]
+
+
+def test_public_names_in_order():
+    assert imm5.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    assert all(hasattr(imm5, name) for name in imm5.__all__)
