@@ -87,14 +87,19 @@ def _cut(text: str) -> str:
     return text[:head] + "..." + text[len(text) - (cut - 3 - head):]
 
 
+def _escape(text: str) -> str:
+    """text with each non-printable character escaped as repr escapes it,
+    so that an error message naming it stays one line."""
+    if text.isprintable():
+        return text
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+
+
 def _label(name: str) -> str:
-    """A record id as an error message names it: each non-printable
-    character escaped as repr escapes it, so that the message stays one
-    line, then cut by _cut.  Coset keys are quoted by repr instead, which
-    escapes them itself.  Reports name records whole."""
-    if not name.isprintable():
-        name = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in name)
-    return _cut(name)
+    """A record id as an error message names it: escaped by _escape, then
+    cut by _cut.  Coset keys are quoted by repr instead, which escapes them
+    itself.  Reports name records whole."""
+    return _cut(_escape(name))
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +215,11 @@ def parse_wu_coords(text: str, alpha: int) -> Gamma2Element:
             return Gamma2Element(())
         raise ParseError(
             f"Wu coordinates {_QUOTE.repr(text)} invalid: Gamma2 is trivial here")
-    if len(cleaned) != alpha or any(ch not in "01" for ch in cleaned):
+    if len(cleaned) != alpha or cleaned.strip("01"):
         raise ParseError(
             f"Wu coordinates {_QUOTE.repr(text)} invalid: expected {alpha} bits"
         )
-    return Gamma2Element(tuple(int(ch) for ch in cleaned))
+    return Gamma2Element(tuple(map(int, cleaned)))
 
 
 def parse_manifold(data: dict) -> ManifoldData:
@@ -249,15 +254,15 @@ def parse_manifold(data: dict) -> ManifoldData:
 
 
 def _read_json(path: str, label: str):
-    """The JSON value in the file at path; a ParseError naming label when
-    the file cannot be read or is not UTF-8 JSON."""
+    """The JSON value in the file at path; a ParseError naming label, escaped
+    but not cut, when the file cannot be read or is not UTF-8 JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
-        raise ParseError(f"{label}: not valid JSON ({exc})") from exc
+        raise ParseError(f"{_escape(label)}: not valid JSON ({exc})") from exc
     except OSError as exc:
-        raise ParseError(f"{label}: cannot read ({exc.strerror})") from exc
+        raise ParseError(f"{_escape(label)}: cannot read ({exc.strerror})") from exc
 
 
 def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:

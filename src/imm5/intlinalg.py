@@ -15,7 +15,10 @@ mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
 is an int whose bit j holds column j and row addition is XOR; one
 Gauss-Jordan loop serves that pass and ``solve_mod2``.  A solution set
 is never listed: solution k is read off tables of kernel combinations
-(``Mod2Solution.mask``) and ``Mod2Solution.masks`` streams them.  All
+(``Mod2Solution.mask``) and ``Mod2Solution.masks`` streams them.  One
+builder and one lookup (``_xor_tables``, ``_xor_lookup``) serve those
+tables and the tables of the rows of q mod 2 (``_row_tables``) that make
+q x mod 2 a few lookups.  All
 integer arithmetic is arbitrary precision and neither fractions nor
 floating point are used.
 """
@@ -87,6 +90,14 @@ class IntSymMatrix:
         diagonal = _mask(self.diagonal())
         aug = [row | ((diagonal >> i) & 1) << self.n for i, row in enumerate(rows)]
         return rows, diagonal, _solve_augmented(aug, self.n)
+
+    @cached_property
+    def _row_tables(self) -> tuple[list[int], ...]:
+        """``_xor_tables`` of the rows of q mod 2, _CHUNK to a table: q is
+        symmetric, so q x mod 2 is the XOR of the rows at the set bits of x.
+        They are built on first use, so that a matrix no vector is tested
+        against pays nothing for them."""
+        return _xor_tables(self._over_z2[0], _CHUNK)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntSymMatrix) and self.entries == other.entries
@@ -510,14 +521,45 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
 # Z2 linear algebra on int bitmask rows
 # ----------------------------------------------------------------------
 
-# kernel vectors per XOR table of Mod2Solution; _BYTE picks one table's bits
+# Vectors per XOR table (``_xor_tables``): _TAIL for the kernel vectors of a
+# Mod2Solution, which spin enumeration reads many times over.  _CHUNK, for the
+# rows of q mod 2 and the Gamma2 generator columns, is smaller because a
+# presentation may test only a few vectors against up to a few hundred rows:
+# n/4 tables of 16 entries cost about as much to build as those tests save,
+# where n/8 tables of 256 cost several times more.
 _TAIL = 8
-_BYTE = (1 << _TAIL) - 1
+_CHUNK = 4
 
 
 def _mask(bits: Sequence[int]) -> int:
     """A 0/1 (or any integer) vector as a bitmask: bit j is bits[j] mod 2."""
     return sum(1 << j for j in compress(range(len(bits)), bits) if bits[j] & 1)
+
+
+def _xor_tables(vectors: Sequence[int], width: int) -> tuple[list[int], ...]:
+    """XOR tables of bitmask vectors, width vectors to a table: entry b of
+    table t is the XOR of the vectors[t * width + j] at the set bits j of b.
+    Each table is built by doubling, one XOR per entry."""
+    tables = []
+    for start in range(0, len(vectors), width):
+        table = [0]
+        for vec in vectors[start:start + width]:
+            table += [t ^ vec for t in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _xor_lookup(tables: Sequence[list[int]], x: int, width: int) -> int:
+    """The XOR of the vectors at the set bits of x, from their
+    ``_xor_tables(vectors, width)``: one lookup per table.  Bits of x past
+    the last vector are ignored, and x may have them only when the last
+    table is full."""
+    low = (1 << width) - 1
+    acc = 0
+    for table in tables:
+        acc ^= table[x & low]
+        x >>= width
+    return acc
 
 
 def _gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:
@@ -564,26 +606,18 @@ class Mod2Solution:
 
     @cached_property
     def _tables(self) -> tuple[int, tuple[list[int], ...]]:
-        """(the particular solution as a mask, XOR tables): table t holds
-        the combinations of the kernel vectors that bits t*_TAIL.. of k pick."""
-        basis = [_mask(k) for k in self.kernel]
-        tables = []
-        for stop in range(len(basis) or 1, 0, -_TAIL):
-            table = [0]
-            for vec in basis[max(stop - _TAIL, 0):stop]:
-                table = [x for t in table for x in (t, t ^ vec)]
-            tables.append(table)
-        return _mask(self.particular), tuple(tables)
+        """(the particular solution as a mask, ``_xor_tables`` of the kernel
+        vectors, last first, _TAIL to a table).  With no kernel there is one
+        table, [0], so that ``masks`` has a tail to walk."""
+        basis = [_mask(k) for k in reversed(self.kernel)]
+        return _mask(self.particular), _xor_tables(basis, _TAIL) or ([0],)
 
     def mask(self, k: int) -> int:
         """Solution k (0 <= k < count) as a bitmask (bit j holds x_j): the
         particular solution XOR the kernel vectors picked by the bits of
         k, the first kernel vector the most significant bit."""
         x, tables = self._tables
-        for table in tables:
-            x ^= table[k & _BYTE]
-            k >>= _TAIL
-        return x
+        return x ^ _xor_lookup(tables, k, _TAIL)
 
     def index(self, x: int) -> int:
         """The k with ``mask(k) == x``, for a solution x of a Gauss-Jordan

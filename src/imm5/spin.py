@@ -11,11 +11,22 @@ Spin vectors are int bitmasks (bit j is c_j mod 2) everywhere inside:
 ``spin_structures`` is a sequence over the solution that q keeps from
 its one Z2 reduction, and unpacks a mask to a ``SpinStructure`` tuple
 only when that element is read; membership and ``index`` go the other
-way, from a vector to its mask and its position.  The characteristic
-test XORs the rows of q mod 2 kept with that reduction at the set bits
-of c and compares the result with the kept diagonal mask; it yields the
-mask of c, and a difference of two spin structures is the XOR of their
-masks.
+way, from a vector to its mask and its position.
+
+Both maps below are a few table lookups ("Four Russians": Arlazarov,
+Dinic, Kronrod and Faradzev 1970), not loops over the link components.
+
+* The characteristic test reads a tuple c of small entries as the binary
+  digits of their parities, at C speed, to get the mask of c.  It then
+  forms q c mod 2, the XOR of the rows of q mod 2 at the set bits of c,
+  one lookup per four rows in XOR tables of those rows
+  (``IntSymMatrix._row_tables``, built on the first test), and compares
+  it with the kept diagonal mask.  It yields the mask of c, and a
+  difference of two spin structures is the XOR of their masks.
+* The Wu map reads the Gamma2 coordinates of that difference, coordinate
+  i at bit i, off XOR tables of the generator columns in the same way
+  (``SurgeryPresentation._gamma2_tables``) and unpacks them a byte at a
+  time.
 """
 
 from __future__ import annotations
@@ -25,10 +36,28 @@ from dataclasses import dataclass
 from operator import index
 
 from .errors import _QUOTE, InvalidSpinStructure
+from .intlinalg import _CHUNK, _TAIL, _xor_lookup
 from .surgery import Gamma2Element, SurgeryPresentation
 
 # _BYTE_BITS[b] is the byte b as 8 bits, least significant first
 _BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
+# _PARITY_DIGITS maps the byte b to the ASCII digit of b mod 2
+_PARITY_DIGITS = bytes(b"01"[b & 1] for b in range(256))
+
+
+def _bits(x: int, n: int) -> tuple[int, ...]:
+    """The bitmask x < 2**n as a 0/1 vector of n entries: one or two bytes
+    without a loop, longer masks byte by byte."""
+    if n <= 8:
+        return _BYTE_BITS[x][:n]
+    if n <= 16:
+        # no 16-entry temporary: slicing one after the concatenation kept
+        # about 0.1 MB more of CPython's freed tuples alive at peak
+        return _BYTE_BITS[x & 255] + _BYTE_BITS[x >> 8][:n - 8]
+    bits: tuple[int, ...] = ()
+    for byte in x.to_bytes(-(-n // 8), "little"):
+        bits += _BYTE_BITS[byte]
+    return bits[:n]
 
 
 @dataclass(frozen=True)
@@ -47,20 +76,30 @@ class WuCoset:
 
 def _characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
     """s.c as a bitmask (bit j is c_j mod 2) if s is characteristic for p,
-    else None.
+    else None: q c = diag(q) mod 2, where q c mod 2 is the XOR of the rows
+    of q mod 2 at the set bits of c, looked up in
+    ``IntSymMatrix._row_tables``.
 
-    q is symmetric, so q c mod 2 is the XOR of the rows of q mod 2 at the
-    set bits of c; s is characteristic when that equals the diagonal.
+    A tuple of entries 0..255 becomes the mask at C speed, as binary
+    digits with c_{n-1} leading (``bytes`` of another type may copy a raw
+    buffer).  Any other vector takes the loop, which raises the TypeError
+    of ``entry & 1`` for an entry that is not an integer.
     """
-    if len(s.c) != p.n:
+    c, q = s.c, p.q
+    if len(c) != len(q.entries):
         return None
-    rows, diagonal, _ = p.q._over_z2
-    x = acc = 0
-    for j, (bit, row) in enumerate(zip(s.c, rows)):
-        if bit & 1:
-            x |= 1 << j
-            acc ^= row
-    return x if acc == diagonal else None
+    x = None
+    if type(c) is tuple:
+        try:
+            x = int(bytes(c).translate(_PARITY_DIGITS)[::-1] or b"0", 2)
+        except (TypeError, ValueError):
+            pass
+    if x is None:
+        x = 0
+        for j, bit in enumerate(c):
+            if bit & 1:
+                x |= 1 << j
+    return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
 
 
 class _SpinSpace(Sequence):
@@ -72,10 +111,7 @@ class _SpinSpace(Sequence):
         self._p, self._sol, self._n = p, p.q._over_z2[2], p.n
 
     def _unpack(self, x: int) -> SpinStructure:
-        bits: tuple[int, ...] = ()
-        for byte in x.to_bytes(-(-self._n // 8), "little"):
-            bits += _BYTE_BITS[byte]
-        return SpinStructure(bits[:self._n])
+        return SpinStructure(_bits(x, self._n))
 
     def __len__(self) -> int:
         return self._sol.count
@@ -90,7 +126,9 @@ class _SpinSpace(Sequence):
         k = index(k)
         if not -count <= k < count:
             raise IndexError("spin structure index out of range")
-        return self._unpack(self._sol.mask(k % count))
+        # Mod2Solution.mask(k % count), one call fewer
+        x, tables = self._sol._tables
+        return SpinStructure(_bits(x ^ _xor_lookup(tables, k % count, _TAIL), self._n))
 
     def _member_mask(self, s) -> int | None:
         """The mask of s if s equals an element, else None.  Equality is
@@ -148,5 +186,5 @@ def wu_coset_of_difference(
                 f"for {_QUOTE.repr(p.name)}"
             )
         delta ^= x
-    coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
-    return WuCoset(Gamma2Element(coords))
+    alpha, tables = p._gamma2_tables
+    return WuCoset(Gamma2Element(_bits(_xor_lookup(tables, delta, _CHUNK), alpha)))

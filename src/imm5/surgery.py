@@ -25,6 +25,10 @@ per even torsion factor.
   i-th Smith factor is column i of u^{-1} mod 2, the Smith generator
   u^{-1} e_i reduced mod 2.  For alpha >= 2 the coordinates depend on
   that basis, and files key ``spin_boundary_signatures`` by them.
+
+The Gamma2 coordinates of a class in H^1(M; Z2) are read off XOR tables
+of the generator columns, built on first use
+(``SurgeryPresentation._gamma2_tables``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intlinalg import IntSymMatrix, _factors_mod_det, smith_mod2
+from .intlinalg import _CHUNK, IntSymMatrix, _factors_mod_det, _xor_tables, smith_mod2
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,24 @@ class SurgeryPresentation:
         coordinate i equal to delta(g_i).  The module docstring says
         which route gives them."""
         return self._h1[1]
+
+    @cached_property
+    def _gamma2_tables(self) -> tuple[int, tuple[list[int], ...]]:
+        """(alpha, ``_xor_tables`` of the columns of the Gamma2 generators,
+        _CHUNK to a table): column j has bit i set when g_i has bit j set,
+        so the XOR of the columns at the set bits of a class delta in
+        H^1(M; Z2) holds its coordinate delta(g_i) at bit i.  The columns
+        stop with the table that holds the last nonzero one, so alpha = 0
+        has no tables."""
+        gens = self.gamma2_generators
+        span = -(-max(map(int.bit_length, gens), default=0) // _CHUNK) * _CHUNK
+        columns = [0] * span
+        for i, g in enumerate(gens):
+            while g:
+                low = g & -g
+                columns[low.bit_length() - 1] |= 1 << i
+                g ^= low
+        return len(gens), _xor_tables(columns, _CHUNK)
 
 
 @dataclass(frozen=True)
@@ -112,8 +134,13 @@ class Gamma2Element:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.coords):
-            raise ValueError("coordinates must be bits")
+        coords = self.coords
+        # a tuple of bits passes at C speed; anything else is checked entry
+        # by entry
+        if (type(coords) is not tuple
+                or coords.count(0) + coords.count(1) != len(coords)):
+            if any(b not in (0, 1) for b in coords):
+                raise ValueError("coordinates must be bits")
 
     @classmethod
     def zero(cls, rank: int) -> "Gamma2Element":

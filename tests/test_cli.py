@@ -12,6 +12,7 @@ import pytest
 
 import imm5
 from imm5.cli import (
+    _read_json,
     analyze_report,
     embeddings_report,
     from_jsonable,
@@ -500,6 +501,27 @@ class TestFileFormats:
             code, out, err = run(capsys, *argv, write_json(tmp_path, "r.json", payload))
             assert (code, out, err) == (exit_code, "", message)
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name, shown", [
+        ("a\nb.json", r"a\nb.json"), ("a\r\nb.json", r"a\r\nb.json"),
+        ("a\u2028b.json", r"a\u2028b.json"),
+    ], ids=["newline", "crlf", "unicode-break"])
+    def test_file_names_with_line_breaks_stay_on_one_line(self, capsys, tmp_path,
+                                                         name, shown):
+        (tmp_path / name).write_text("{bad", encoding="utf-8")
+        why = ("not valid JSON (Expecting property name enclosed in double "
+               "quotes: line 1 column 2 (char 1))")
+        code, out, err = run(capsys, "analyze", str(tmp_path / name))
+        assert (code, out, err) == (2, "", f"ParseError: {tmp_path}/{shown}: {why}\n")
+        code, out, err = run(capsys, "verify",
+                             write_json(tmp_path, "r.json", {"manifold": name}))
+        assert (code, out, err) == (2, "", f"ParseError: {shown}: {why}\n")
+        # escaped, never cut: a long label is named whole
+        label = "d" * 400 + "/" + name
+        with pytest.raises(ParseError) as exc:
+            _read_json(str(tmp_path / "missing.json"), label)
+        assert str(exc.value) == ("d" * 400 + f"/{shown}: cannot read "
+                                  "(No such file or directory)")
 
     @pytest.mark.parametrize("command", ["analyze", "embeddings"])
     def test_long_asymmetric_entry_is_quoted(self, capsys, tmp_path, command):

@@ -34,6 +34,13 @@ kept ones wherever the Smith route runs.  There are 10,000 instances in
 five families: random symmetric, plumbing trees, singular, alpha >= 2
 block sums, and diagonals sharing odd primes, whose factors modulo the
 determinant leave a non-unit block.
+
+The characteristic test and the Wu coordinates by table lookups (a tuple
+read as binary digits at C speed, XOR tables of the rows of q mod 2 and of
+the Gamma2 generator columns) are checked against the per-entry loops
+they replaced, kept here verbatim, on 10,400 probes at n = 0, 1, 4, 8, 9,
+16, 17 and 199, with entries past one byte, negative, ``bool``, ``float``
+and ``str``.
 """
 
 import inspect
@@ -850,3 +857,128 @@ def test_upper_triangle_pass_matches_full_storage_reference():
             both += swaps >= 2 and mates >= 2
     assert sum(kinds.values()) == 4 * PER_FAMILY + 60 * 6 + 5 + 1 + 6 + 500 + 1000
     assert several_swaps >= 600 and several_mates >= 500 and both >= 400
+
+
+# ----------------------------------------------------------------------
+# The characteristic test and Wu coordinates by table lookups, against
+# the per-entry loops they replaced
+# ----------------------------------------------------------------------
+
+FAST_PATH_SIZES = (0, 1, 4, 8, 9, 16, 17, 199)
+FAST_PATH_PROBES = 1300  # per size
+
+
+def loop_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
+    """The former ``_characteristic_mask``, verbatim."""
+    if len(s.c) != p.n:
+        return None
+    rows, diagonal, _ = p.q._over_z2
+    x = acc = 0
+    for j, (bit, row) in enumerate(zip(s.c, rows)):
+        if bit & 1:
+            x |= 1 << j
+            acc ^= row
+    return x if acc == diagonal else None
+
+
+def loop_wu_coset_of_difference(p, s1, s2):
+    """The former ``wu_coset_of_difference``: the loop masks and the
+    former coordinate expression, verbatim."""
+    delta = 0
+    for s in (s1, s2):
+        x = loop_characteristic_mask(p, s)
+        if x is None:
+            raise InvalidSpinStructure(
+                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+                f"for {_QUOTE.repr(p.name)}"
+            )
+        delta ^= x
+    coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
+    return WuCoset(Gamma2Element(coords))
+
+
+def moved_diagonal(rng: random.Random, n: int) -> list[list[int]]:
+    """A diagonal of 0, +-1, +-2, +-3 and +-4 moved by elementary
+    congruences (add c times row and column j to row and column i), so
+    that betti1 and alpha are both often large; O(n) per move."""
+    q = [[rng.choice((0, 1, -1, 2, -2, 3, 4, -4)) if i == j else 0 for j in range(n)]
+         for i in range(n)]
+    for _ in range(min(2 * n, 120) if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        for row in q:
+            row[i] += c * row[j]
+        q[i] = [a + c * b for a, b in zip(q[i], q[j])]
+    return q
+
+
+def any_spin(rng, p, spins):
+    """A seeded spin structure of p; ``len(spins)`` overflows past 2**63."""
+    return spins[rng.randrange(homology_profile(p).spin_structure_count)]
+
+
+def fast_path_probe(rng, p, spins, kinds: Counter):
+    """A vector to test against p, its kind counted in ``kinds``."""
+    n = p.n
+    base = list(any_spin(rng, p, spins).c if rng.random() < 0.6 else
+                [rng.randint(0, 1) for _ in range(n)])
+    kind = rng.choice(("bits", "large", "negative", "bool", "list", "length",
+                       "float", "str"))
+    if kind == "large" and n:
+        # entries past one byte, odd and even
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            base[j] += rng.choice((256, 258, 1000, 2 ** 70))
+    elif kind == "negative" and n:
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            base[j] -= rng.choice((2, 4, 256, 2 ** 70))
+    elif kind == "bool":
+        base = [bool(x) for x in base]
+    elif kind == "length":
+        base = base[:-1] if n and rng.random() < 0.5 else base + [rng.randint(0, 1)]
+    elif kind in ("float", "str") and n:
+        base[rng.randrange(n)] = rng.choice((0.0, 1.0, 2.5)) if kind == "float" \
+            else rng.choice(("", "0", "1"))
+    kinds[kind] += 1
+    return SpinStructure(base if kind == "list" else tuple(base))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def test_table_lookups_match_loop_reference():
+    """``_characteristic_mask`` and ``wu_coset_of_difference`` against the
+    loops they replaced: the same mask or None, the same Wu coset, and the
+    same exception (type and message) for entries that are not integers,
+    over n from 0 to 199 with entries past one byte, negative, ``bool``,
+    ``float`` and ``str``, and vectors held in a list."""
+    rng = random.Random("table-lookups")
+    kinds, results = Counter(), Counter()
+    probes = 0
+    for n in FAST_PATH_SIZES:
+        presentations = []
+        for _ in range(2 if n == 199 else 20):
+            p = SurgeryPresentation("d", IntSymMatrix(moved_diagonal(rng, n)))
+            presentations.append((p, spin_structures(p)))
+        for _ in range(FAST_PATH_PROBES):
+            p, spins = rng.choice(presentations)
+            s1 = fast_path_probe(rng, p, spins, kinds)
+            s2 = fast_path_probe(rng, p, spins, kinds) if rng.random() < 0.3 else \
+                any_spin(rng, p, spins)
+            want = outcome(loop_characteristic_mask, p, s1)
+            assert outcome(_characteristic_mask, p, s1) == want, (p.q, s1)
+            results["raised" if isinstance(want, tuple) else
+                    "none" if want is None else "mask"] += 1
+            want = outcome(loop_wu_coset_of_difference, p, s1, s2)
+            assert outcome(wu_coset_of_difference, p, s1, s2) == want, (p.q, s1, s2)
+            results["wu" if isinstance(want, WuCoset) else want[0].__name__] += 1
+            probes += 1
+    assert probes >= 10000
+    assert min(kinds.values()) >= 1000 and len(kinds) == 8, kinds
+    assert min(results.values()) >= 500, results
+    assert results["wu"] >= 2000 and set(results) == {
+        "raised", "none", "mask", "wu", "InvalidSpinStructure", "TypeError"}, results

@@ -1,11 +1,18 @@
-"""The package's public names, listed in order.
+"""The package's public names, listed in order, and the oldest Python
+whose syntax its modules keep to.
 
 ``imm5.__all__`` is derived from the package's import block, so an
 import added or dropped there changes the public surface; this list
 makes that change visible.
 """
 
+import ast
+from pathlib import Path
+
 import imm5
+
+# pyproject.toml: requires-python = ">=3.10"
+SYNTAX_FLOOR = (3, 10)
 
 PUBLIC = [
     "AsymmetricMatrix",
@@ -65,3 +72,14 @@ def test_public_names_in_order():
 
 def test_every_public_name_resolves():
     assert all(hasattr(imm5, name) for name in imm5.__all__)
+
+
+def test_modules_parse_at_the_syntax_floor():
+    """Every module parses with the grammar of the oldest supported Python.
+    ``feature_version`` is best effort: it rejects newer syntax such as
+    ``except*`` and PEP 695 type parameters, not newer library calls."""
+    modules = sorted(Path(imm5.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=SYNTAX_FLOOR)
