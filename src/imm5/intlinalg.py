@@ -619,6 +619,12 @@ class Mod2Solution:
         x, tables = self._tables
         return x ^ _xor_lookup(tables, k, _TAIL)
 
+    @cached_property
+    def _free_columns(self) -> tuple[int, ...]:
+        """The free column of each kernel vector, its top bit, in kernel
+        order (``index``)."""
+        return tuple(_mask(vec).bit_length() - 1 for vec in self.kernel)
+
     def index(self, x: int) -> int:
         """The k with ``mask(k) == x``, for a solution x of a Gauss-Jordan
         pass: each kernel vector there has its free column as its top bit,
@@ -626,8 +632,8 @@ class Mod2Solution:
         columns' bits of x XOR the particular solution."""
         x ^= self._tables[0]
         k = 0
-        for vec in map(_mask, self.kernel):
-            k = (k << 1) | ((x >> (vec.bit_length() - 1)) & 1)
+        for f in self._free_columns:
+            k = (k << 1) | ((x >> f) & 1)
         return k
 
     def masks(self) -> Iterator[int]:

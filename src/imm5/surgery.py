@@ -28,7 +28,8 @@ per even torsion factor.
 
 The Gamma2 coordinates of a class in H^1(M; Z2) are read off XOR tables
 of the generator columns, built on first use
-(``SurgeryPresentation._gamma2_tables``).
+(``SurgeryPresentation._gamma2_tables``), and the Wu cosets built from
+them are kept up to a cap (``SurgeryPresentation._wu_cosets``).
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ class SurgeryPresentation:
                 columns[low.bit_length() - 1] |= 1 << i
                 g ^= low
         return len(gens), _xor_tables(columns, _CHUNK)
+
+    @cached_property
+    def _wu_cosets(self) -> dict:
+        """The Wu cosets built so far, keyed by their Gamma2 coordinates as
+        one bitmask (coordinate i at bit i), so that a coset seen before is
+        returned, not built again.  ``spin.wu_coset_of_difference`` stores
+        at most ``spin._WU_COSET_CAP`` of them."""
+        return {}
 
 
 @dataclass(frozen=True)

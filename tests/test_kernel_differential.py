@@ -41,22 +41,35 @@ the Gamma2 generator columns) are checked against the per-entry loops
 they replaced, kept here verbatim, on 10,400 probes at n = 0, 1, 4, 8, 9,
 16, 17 and 199, with entries past one byte, negative, ``bool``, ``float``
 and ``str``.
+
+The spin structures that ``spin_structures`` builds carry their mask, a
+``SpinStructure`` built with c a tuple stores it on first use, and each
+presentation returns the Wu coset it built before.  The characteristic
+test, ``spins[k]`` and the Wu map are checked against the routines that
+encoded c on every test and built a new coset on every call, kept here
+verbatim, on 10,400 probes: spin structures of another presentation of
+the same n, user-built vectors, arguments that are not spin structures,
+and copy, pickle and ``dataclasses.replace`` round trips.
 """
 
+import copy
+import dataclasses
 import inspect
+import pickle
 import random
 import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
-from operator import mul
+from operator import index, mul
 
 import pytest
 
 from imm5 import surgery
 from imm5.errors import _QUOTE, InvalidSpinStructure, NoSolution
 from imm5.intlinalg import (
+    _CHUNK,
     _TAIL,
     IntSymMatrix,
     Mod2Solution,
@@ -66,6 +79,7 @@ from imm5.intlinalg import (
     _rescale,
     _signature_det,
     _smith_reduce,
+    _xor_lookup,
     det_int,
     signature,
     smith_mod2,
@@ -73,8 +87,11 @@ from imm5.intlinalg import (
     solve_mod2,
 )
 from imm5.spin import (
+    _PARITY_DIGITS,
     SpinStructure,
     WuCoset,
+    _SpinSpace,
+    _bits,
     _characteristic_mask,
     spin_structures,
     wu_coset_of_difference,
@@ -982,3 +999,160 @@ def test_table_lookups_match_loop_reference():
     assert min(results.values()) >= 500, results
     assert results["wu"] >= 2000 and set(results) == {
         "raised", "none", "mask", "wu", "InvalidSpinStructure", "TypeError"}, results
+
+
+# ----------------------------------------------------------------------
+# Carried masks and the Wu-coset memo, against the routines that encoded
+# c on every test and built a new coset on every call
+# ----------------------------------------------------------------------
+
+CARRIED_SIZES = (0, 1, 4, 8, 9, 16, 17, 64)
+CARRIED_PROBES = 1300  # per size
+
+
+def uncached_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
+    """The former ``_characteristic_mask``, verbatim."""
+    c, q = s.c, p.q
+    if len(c) != len(q.entries):
+        return None
+    x = None
+    if type(c) is tuple:
+        try:
+            x = int(bytes(c).translate(_PARITY_DIGITS)[::-1] or b"0", 2)
+        except (TypeError, ValueError):
+            pass
+    if x is None:
+        x = 0
+        for j, bit in enumerate(c):
+            if bit & 1:
+                x |= 1 << j
+    return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
+
+
+class UncachedSpinSpace(_SpinSpace):
+    """The sequence with the former ``__getitem__``, verbatim: its elements
+    carry no mask."""
+
+    def __getitem__(self, k):
+        count = self._sol.count
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(count))]
+        k = index(k)
+        if not -count <= k < count:
+            raise IndexError("spin structure index out of range")
+        # Mod2Solution.mask(k % count), one call fewer
+        x, tables = self._sol._tables
+        return SpinStructure(_bits(x ^ _xor_lookup(tables, k % count, _TAIL), self._n))
+
+
+def unmemoized_wu_coset_of_difference(
+    p: SurgeryPresentation, s1: SpinStructure, s2: SpinStructure
+) -> WuCoset:
+    """The former ``wu_coset_of_difference``, verbatim but for the name of
+    the characteristic test."""
+    delta = 0
+    for s in (s1, s2):
+        x = uncached_characteristic_mask(p, s)
+        if x is None:
+            raise InvalidSpinStructure(
+                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+                f"for {_QUOTE.repr(p.name)}"
+            )
+        delta ^= x
+    alpha, tables = p._gamma2_tables
+    return WuCoset(Gamma2Element(_bits(_xor_lookup(tables, delta, _CHUNK), alpha)))
+
+
+CARRIED_KINDS = ("spin", "foreign", "tuple", "list", "bool", "negative", "huge",
+                 "length", "float", "other", "copy", "pickle", "replace")
+
+
+def carried_probe(rng, kind, own, foreign):
+    """(the vector handed to the former routines, the one handed to the
+    current ones) of the given kind.  ``own`` and ``foreign`` are (former,
+    current) sequences over p and over another presentation of the same n;
+    "spin" and "foreign" read the same index from both, the others build
+    one vector and hand it to both."""
+    if kind in ("spin", "foreign"):
+        old, new = own if kind == "spin" else foreign
+        k = rng.randrange(homology_profile(new._p).spin_structure_count)
+        return old[k], new[k]
+    spins = own[1]
+    base = list(any_spin(rng, spins._p, spins).c if rng.random() < 0.6 else
+                [rng.randint(0, 1) for _ in range(spins._n)])
+    n = len(base)
+    if kind == "negative" and n:
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            base[j] -= rng.choice((1, 2, 3, 2 ** 70))
+    elif kind == "huge" and n:
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            base[j] += rng.choice((2 ** 64, 2 ** 64 + 1, 2 ** 65 + 2, 3 ** 50))
+    elif kind == "bool":
+        base = [bool(x) for x in base]
+    elif kind == "length":
+        base = base[:-1] if n and rng.random() < 0.5 else base + [rng.randint(0, 1)]
+    elif kind == "float" and n:
+        base[rng.randrange(n)] = rng.choice((0.0, 1.0))
+    if kind == "other":
+        s = rng.choice((tuple(base), None, base))
+        return s, s
+    s = SpinStructure(base if kind == "list" else tuple(base))
+    if kind in ("copy", "pickle", "replace"):
+        # a spin structure that carries its mask, or a user-built one that
+        # stored it on a first test
+        if rng.random() < 0.5:
+            s = any_spin(rng, spins._p, spins)
+        else:
+            _characteristic_mask(foreign[1]._p, s)
+        s = (copy.copy(s) if kind == "copy" else
+             pickle.loads(pickle.dumps(s)) if kind == "pickle" else
+             dataclasses.replace(s))
+    return s, s
+
+
+def test_carried_masks_and_memo_match_uncached_reference():
+    """``_characteristic_mask``, ``spins[k]`` and ``wu_coset_of_difference``
+    against the former routines: the same element, the same mask or None,
+    and the same coset value or the same exception (type and message), on
+    the first call with a vector and again once it carries a mask.  Probes
+    include spin structures of another presentation of the same n,
+    user-built tuples, lists, bools, negative entries, entries past 2**64,
+    the wrong length, floats, arguments that are not spin structures, and
+    copy, pickle and ``dataclasses.replace`` round trips."""
+    rng = random.Random("carried-masks")
+    kinds, results = Counter(), Counter()
+    foreign_rejected = probes = 0
+    for n in CARRIED_SIZES:
+        spaces = []
+        for _ in range(2 if n == 64 else 12):
+            p = SurgeryPresentation("d", IntSymMatrix(moved_diagonal(rng, n)))
+            spaces.append((UncachedSpinSpace(p), spin_structures(p)))
+        for _ in range(CARRIED_PROBES):
+            own, foreign = rng.choice(spaces), rng.choice(spaces)
+            p = own[1]._p
+            k = rng.randrange(homology_profile(p).spin_structure_count)
+            assert own[0][k] == own[1][k] and repr(own[0][k]) == repr(own[1][k])
+            kind = rng.choice(CARRIED_KINDS)
+            old1, new1 = carried_probe(rng, kind, own, foreign)
+            old2, new2 = (carried_probe(rng, rng.choice(CARRIED_KINDS), own, foreign)
+                          if rng.random() < 0.3 else (own[0][k], own[1][k]))
+            for again in (False, True):
+                # the second round reads the stored masks; a list c is
+                # changed in place first, and must be read afresh
+                if again and kind == "list" and new1.c:
+                    new1.c[rng.randrange(len(new1.c))] += 1
+                want_mask = outcome(uncached_characteristic_mask, p, old1)
+                want = outcome(unmemoized_wu_coset_of_difference, p, old1, old2)
+                assert outcome(_characteristic_mask, p, new1) == want_mask, (p.q, new1)
+                assert outcome(wu_coset_of_difference, p, new1, new2) == want, \
+                    (p.q, new1, new2)
+            kinds[kind] += 1
+            results["wu" if isinstance(want, WuCoset) else want[0].__name__] += 1
+            foreign_rejected += (kind == "foreign" and own is not foreign
+                                 and want_mask is None)
+            probes += 1
+    assert probes >= 10000
+    assert min(kinds.values()) >= 600 and len(kinds) == len(CARRIED_KINDS), kinds
+    assert foreign_rejected >= 200
+    assert results["wu"] >= 2000 and min(results.values()) >= 200 and set(results) == {
+        "wu", "InvalidSpinStructure", "TypeError", "AttributeError"}, results

@@ -1,5 +1,6 @@
 """Spin structures and the quotient onto the Wu classes."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ from imm5.errors import InvalidSpinStructure
 from imm5.fixtures import presentation
 from imm5.intlinalg import IntSymMatrix
 from imm5.spin import (
+    _WU_COSET_CAP,
     SpinStructure,
     _characteristic_mask,
     spin_structures,
@@ -70,6 +72,20 @@ class TestEnumeration:
             assert len(set(sols)) == len(sols)
 
 
+class TestCarriedMask:
+    """The mask a spin structure carries is not part of its value."""
+
+    def test_element_equals_user_built(self):
+        rng = random.Random(17)
+        spins = spin_structures(_pres([[0] * 9 for _ in range(9)]))
+        for k in rng.sample(range(len(spins)), 20):
+            s, built = spins[k], SpinStructure(spins[k].c)
+            assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
+            assert "_mask" in vars(s) and "_mask" not in vars(built)
+        assert [f.name for f in dataclasses.fields(SpinStructure)] == ["c"]
+        assert dataclasses.asdict(s) == {"c": s.c}
+
+
 class _Sub(SpinStructure):
     pass
 
@@ -122,6 +138,23 @@ class TestMembership:
                         assert spins.index(s, *window) == want, (rows, s, window)
                         checked += 1
         assert checked >= 5000
+
+    def test_index_of_element(self):
+        """``index`` inverts reading an element, on #70 S1xS2 and on random
+        presentations."""
+        rng = random.Random(21)
+        spins = spin_structures(_pres([[0] * 70 for _ in range(70)]))
+        for k in [0, 2 ** 70 - 1] + [rng.randrange(2 ** 70) for _ in range(50)]:
+            assert spins.index(spins[k]) == k
+        for _ in range(100):
+            n = rng.randint(0, 12)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, 3))
+            spins = spin_structures(_pres(rows))
+            for k in rng.sample(range(len(spins)), min(len(spins), 10)):
+                assert spins.index(spins[k]) == k, (rows, k)
 
     def test_past_sys_maxsize(self):
         """#70 S1xS2: membership and index solve for the vector instead of
@@ -193,6 +226,26 @@ class TestWuCoset:
         )
         assert len(hits) == 2 ** h.alpha
         assert all(count == 2 ** h.betti1 for count in hits.values())
+
+    def test_equal_cosets_are_shared(self):
+        p = presentation("rp3")
+        s1, s2 = spin_structures(p)
+        assert wu_coset_of_difference(p, s1, s2) is wu_coset_of_difference(p, s2, s1)
+        assert wu_coset_of_difference(p, s1, s1) is wu_coset_of_difference(p, s2, s2)
+
+    def test_memo_stops_at_its_cap(self):
+        """alpha = 12: 4,096 cosets, one per spin structure, so the calls
+        run past the cap; the memo keeps the first _WU_COSET_CAP."""
+        p = _pres([[2 if i == j else 0 for j in range(12)] for i in range(12)])
+        assert homology_profile(p).alpha == 12 and _WU_COSET_CAP < 2 ** 12
+        spins = spin_structures(p)
+        base = spins[0]
+        coords = {wu_coset_of_difference(p, s, base).value.coords for s in spins}
+        assert len(coords) == 2 ** 12
+        assert len(p._wu_cosets) == _WU_COSET_CAP
+        for s in spins:
+            wu_coset_of_difference(p, s, base)
+        assert len(p._wu_cosets) == _WU_COSET_CAP
 
     def test_difference_map_is_homomorphism(self):
         p = _pres([[2, 0], [0, 4]])
