@@ -75,6 +75,8 @@ from .surgery import (
 SEED_ENV = "IMM5_SEED"
 INT_STRING_BOUND = 2 ** 53
 _INT_RE = re.compile(r"-?[0-9]+$")
+# _BIT_VALUES maps the ASCII digits 0 and 1 to the bytes 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _cut(text: str) -> str:
@@ -207,19 +209,22 @@ def parse_wu_coords(text: str, alpha: int) -> Gamma2Element:
     """Parse Wu-coset coordinates: a bit string of length alpha.
 
     The trivial coset of an alpha = 0 manifold may be written "0" or
-    left empty.
+    left empty.  Whitespace, parentheses and commas are dropped first,
+    unless text is already a bare bit string of length alpha.
     """
-    cleaned = str(text).strip().strip("()").replace(",", "").replace(" ", "")
-    if alpha == 0:
-        if cleaned in ("", "0"):
-            return Gamma2Element(())
-        raise ParseError(
-            f"Wu coordinates {_QUOTE.repr(text)} invalid: Gamma2 is trivial here")
-    if len(cleaned) != alpha or cleaned.strip("01"):
-        raise ParseError(
-            f"Wu coordinates {_QUOTE.repr(text)} invalid: expected {alpha} bits"
-        )
-    return Gamma2Element(tuple(map(int, cleaned)))
+    cleaned = text
+    if type(text) is not str or not alpha or len(text) != alpha or text.strip("01"):
+        cleaned = str(text).strip().strip("()").replace(",", "").replace(" ", "")
+        if alpha == 0:
+            if cleaned in ("", "0"):
+                return Gamma2Element(())
+            raise ParseError(
+                f"Wu coordinates {_QUOTE.repr(text)} invalid: Gamma2 is trivial here")
+        if len(cleaned) != alpha or cleaned.strip("01"):
+            raise ParseError(
+                f"Wu coordinates {_QUOTE.repr(text)} invalid: expected {alpha} bits"
+            )
+    return Gamma2Element(tuple(cleaned.encode().translate(_BIT_VALUES)))
 
 
 def parse_manifold(data: dict) -> ManifoldData:
@@ -238,17 +243,26 @@ def parse_manifold(data: dict) -> ManifoldData:
     if block is not None:
         if not isinstance(block, dict):
             raise ParseError("'spin_boundary_signatures' must map cosets to lists")
+        alpha = profile.alpha
         per_coset: dict[Gamma2Element, frozenset[int]] = {}
         for key, values in block.items():
-            coset = parse_wu_coords(key, profile.alpha)
-            sigs = frozenset(_ints(values, f"signatures for coset {_cut(key)!r}"))
+            coset = parse_wu_coords(key, alpha)
+            # an all-int list is read at C speed; the label naming the coset
+            # is built only on the paths that raise
+            if type(values) is list and set(map(type, values)) <= {int}:
+                sigs = frozenset(values)
+            else:
+                sigs = frozenset(_ints(values, f"signatures for coset {_cut(key)!r}"))
             for s0 in sigs:
-                if (s0 - profile.alpha) % 2:
+                if (s0 - alpha) % 2:
                     raise ParityViolation(
                         f"base signature {_QUOTE.repr(s0)} for coset {_cut(key)!r} "
-                        f"has the wrong parity (alpha = {profile.alpha})"
+                        f"has the wrong parity (alpha = {alpha})"
                     )
-            per_coset[coset] = per_coset.get(coset, frozenset()) | sigs
+            # one lookup; keys naming one coset twice merge their signatures
+            merged = per_coset.setdefault(coset, sigs)
+            if merged is not sigs:
+                per_coset[coset] = merged | sigs
         signatures = SpinBoundarySignatures(per_coset)
     return ManifoldData(pres, profile, signatures)
 

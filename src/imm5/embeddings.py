@@ -54,21 +54,22 @@ def embedding_classes(h: HomologyProfile,
     does contain embeddings, so an empty entry is a data error), and
     every base signature must have the parity of alpha.
     """
+    alpha, per_coset = h.alpha, sig.per_coset
     offsets: dict[Gamma2Element, frozenset[int]] = {}
     for coset in gamma2_elements(h):
-        sigs = sig.per_coset.get(coset)
+        sigs = per_coset.get(coset)
         if not sigs:
             raise CosetUncovered(
                 f"no base signature supplied for Wu coset {coset}"
             )
         here = set()
         for s0 in sigs:
-            if (s0 - h.alpha) % 2:
+            if (s0 - alpha) % 2:
                 raise ParityViolation(
                     f"base signature {_QUOTE.repr(s0)} has the wrong parity "
-                    f"(alpha = {h.alpha})"
+                    f"(alpha = {alpha})"
                 )
-            here.add((3 * (s0 - h.alpha) // 2) % 24)
+            here.add((3 * (s0 - alpha) // 2) % 24)
         offsets[coset] = frozenset(here)
     return EmbeddingClassSet(offsets)
 

@@ -13,14 +13,15 @@ signature, det q and an (n-1)-minor, from which
 divisor of det q; one Gauss-Jordan pass on q mod 2, augmented by diag q
 mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
 is an int whose bit j holds column j and row addition is XOR; one
-Gauss-Jordan loop serves that pass and ``solve_mod2``.  A solution set
-is never listed: solution k is read off tables of kernel combinations
-(``Mod2Solution.mask``) and ``Mod2Solution.masks`` streams them.  One
-builder and one lookup (``_xor_tables``, ``_xor_lookup``) serve those
-tables and the tables of the rows of q mod 2 (``_row_tables``) that make
-q x mod 2 a few lookups.  All
-integer arithmetic is arbitrary precision and neither fractions nor
-floating point are used.
+Gauss-Jordan loop, which keys its pivot rows by their lowest set bit,
+serves that pass and ``solve_mod2``.  A solution set is never listed:
+solution k is read off tables of kernel combinations
+(``Mod2Solution.mask``) and ``Mod2Solution.masks`` streams them.
+``_xor_tables`` builds those tables and the tables of the rows of q mod
+2 (``_row_tables``) that make q x mod 2 a few lookups;
+``_xor_lookup`` reads them, and ``spin`` walks them inline on its
+per-element paths.  All integer arithmetic is arbitrary precision and
+neither fractions nor floating point are used.
 """
 
 from __future__ import annotations
@@ -566,27 +567,44 @@ def _gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:
     """Reduce bitmask rows in place over Z2; return the pivot columns.
 
     Columns 0 .. ncols-1 are eliminated; any higher bits ride along as
-    augmented columns.  Column c pivots on the first row at or below the
-    next pivot row with bit c set, swapped into place, so the result is
-    the reduced row echelon form with pivot rows first.
+    augmented columns.  Each row in turn is reduced against the pivot rows
+    kept so far, keyed by their lowest set bit, until its lowest set bit
+    is no pivot's: below ncols the row becomes that column's pivot row,
+    else it has no bit below ncols left.  Then each pivot row is cleared
+    of the other pivot bits, from the highest pivot down.  A banded matrix
+    costs steps in proportion to its band, not to n**2.  The rows end in
+    reduced row echelon form: the pivot rows in column order, then the
+    rest.
     """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        bit = 1 << c
-        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        for i, row in enumerate(rows):
-            if i != r and row & bit:
-                rows[i] = row ^ prow
-        pivots.append(c)
-        r += 1
-    return pivots
+    left = (1 << ncols) - 1
+    pivot_rows: dict[int, int] = {}  # lowest set bit (as 1 << c) -> row
+    get = pivot_rows.get
+    rest = []
+    for row in rows:
+        low = row & -row
+        prow = get(low)
+        while prow is not None:
+            row ^= prow
+            low = row & -row
+            prow = get(low)
+        if 0 < low <= left:
+            pivot_rows[low] = row
+        else:  # zero below ncols
+            rest.append(row)
+    order = sorted(pivot_rows)
+    pivot_bits = sum(order)
+    for low in reversed(order):
+        # the pivot rows of higher columns are cleared already, so each XOR
+        # removes one pivot bit and adds none
+        row = pivot_rows[low]
+        higher = (row & pivot_bits) ^ low
+        while higher:
+            bit = higher & -higher
+            row ^= pivot_rows[bit]
+            higher ^= bit
+        pivot_rows[low] = row
+    rows[:] = [pivot_rows[low] for low in order] + rest
+    return [low.bit_length() - 1 for low in order]
 
 
 @dataclass(frozen=True)

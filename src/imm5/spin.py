@@ -16,9 +16,18 @@ carries the mask it was unpacked from, outside its dataclass fields, so
 the maps below do not encode c again; a ``SpinStructure`` built with c a
 tuple stores its mask the same way on first use.
 
-Both maps below are a few table lookups ("Four Russians": Arlazarov,
+The maps below are a few table lookups ("Four Russians": Arlazarov,
 Dinic, Kronrod and Faradzev 1970), not loops over the link components.
+The paths run once per element are straight-line code that pays for
+those lookups and for the objects it returns; every check runs on every
+call.
 
+* ``spins[k]`` with k an ``int`` in range walks the solution tables once
+  and writes c and the mask straight into the instance dict of the new
+  ``SpinStructure``, the state its frozen ``__init__`` and a stored mask
+  would leave.  Any other k (a bool, a negative or ``__index__`` index)
+  is normalised first, a slice reads its elements, and an index out of
+  range raises IndexError.
 * The characteristic test takes the mask that s carries, or reads a
   tuple c of small entries as the binary digits of their parities, at C
   speed.  It then forms q c mod 2, the XOR of the rows of q mod 2 at the
@@ -26,21 +35,27 @@ Dinic, Kronrod and Faradzev 1970), not loops over the link components.
   (``IntSymMatrix._row_tables``, built on the first test), and compares
   it with the kept diagonal mask, on every call.  It yields the mask of
   c, and a difference of two spin structures is the XOR of their masks.
-* The Wu map reads the Gamma2 coordinates of that difference, coordinate
-  i at bit i, off XOR tables of the generator columns in the same way
-  (``SurgeryPresentation._gamma2_tables``).  Gamma2 has 2**alpha
-  elements, so the presentation keeps the ``WuCoset`` of each coordinate
-  mask it has met (``SurgeryPresentation._wu_cosets``) and returns that
-  one immutable object again; past _WU_COSET_CAP cosets a new one is
-  built and not kept, so the memo does not grow with the number of
-  calls.
+* The Wu map tests s1 and then s2, both on every call: a spin structure
+  of the right length that carries its mask is tested over the row
+  tables in the Wu call itself, any other argument by
+  ``_characteristic_mask``.  It then reads the Gamma2 coordinates of the
+  difference, coordinate i at bit i, off XOR tables of the generator
+  columns in the same way (``SurgeryPresentation._gamma2_tables``).
+  Gamma2 has 2**alpha elements, so the presentation keeps the
+  ``WuCoset`` of each coordinate mask it has met
+  (``SurgeryPresentation._wu_cosets``) and returns that one immutable
+  object again; past _WU_COSET_CAP cosets a new one is built and not
+  kept, so the memo does not grow with the number of calls.
+* Membership, ``count`` and ``index`` read the entries of c equal to 1,
+  and count the rest as equal to 0, at C speed, and test that mask.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import index
+from itertools import repeat
+from operator import eq, index
 
 from .errors import _QUOTE, InvalidSpinStructure
 from .intlinalg import _CHUNK, _TAIL, _xor_lookup
@@ -52,6 +67,10 @@ _BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
 _PARITY_DIGITS = bytes(b"01"[b & 1] for b in range(256))
 # Wu cosets a presentation keeps: all of Gamma2 up to alpha = 10
 _WU_COSET_CAP = 1024
+# the low bits of a mask that index one XOR table, _TAIL or _CHUNK wide
+_TAIL_LOW = (1 << _TAIL) - 1
+_CHUNK_LOW = (1 << _CHUNK) - 1
+_new = object.__new__
 
 
 def _bits(x: int, n: int) -> tuple[int, ...]:
@@ -76,9 +95,12 @@ class SpinStructure:
     An instance may carry the bitmask of c (bit j is c_j mod 2) as
     ``_mask`` in its instance dict, outside the dataclass fields, so
     equality, hashing and ``repr`` see c alone.  ``spin_structures``
-    builds its elements carrying the mask they were decoded from; an
-    instance built with c a tuple stores it on its first characteristic
-    test.  A c of any other type is read afresh on every test.
+    builds its elements with c and the mask they were decoded from
+    written straight into that dict; an instance built with c a tuple
+    stores its mask on its first characteristic test.  A c of any other
+    type is read afresh on every test.  A carried mask saves reading c
+    again, never the test: every Wu call checks both of its arguments
+    against the presentation it is given.
     """
 
     c: tuple[int, ...]
@@ -145,9 +167,13 @@ class _SpinSpace(Sequence):
         self._p, self._sol, self._n = p, p.q._over_z2[2], p.n
 
     def _unpack(self, x: int) -> SpinStructure:
-        """The element whose mask is x, carrying it."""
-        s = SpinStructure(_bits(x, self._n))
-        s.__dict__["_mask"] = x
+        """The element whose mask is x, carrying it: its instance dict gets
+        c and the mask directly, as the frozen ``__init__`` and a stored
+        mask would leave it."""
+        s = _new(SpinStructure)
+        d = s.__dict__
+        d["c"] = _bits(x, self._n)
+        d["_mask"] = x
         return s
 
     def __len__(self) -> int:
@@ -157,24 +183,41 @@ class _SpinSpace(Sequence):
         return map(self._unpack, self._sol.masks())
 
     def __getitem__(self, k):
-        count = self._sol.count
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(count))]
-        k = index(k)
-        if not -count <= k < count:
-            raise IndexError("spin structure index out of range")
-        # Mod2Solution.mask(k % count), one call fewer
-        x, tables = self._sol._tables
-        return self._unpack(x ^ _xor_lookup(tables, k % count, _TAIL))
+        sol = self._sol
+        if type(k) is not int or not 0 <= k < sol.count:
+            # bool, negative k, __index__ objects, slices and k out of range
+            if isinstance(k, slice):
+                return [self[i] for i in range(*k.indices(sol.count))]
+            k = index(k)
+            if not -sol.count <= k < sol.count:
+                raise IndexError("spin structure index out of range")
+            k %= sol.count
+        # Mod2Solution.mask(k) and _unpack, inline: a read pays for its
+        # table lookups and the element it returns
+        x, tables = sol._tables
+        for table in tables:
+            x ^= table[k & _TAIL_LOW]
+            k >>= _TAIL
+        s = _new(SpinStructure)
+        d = s.__dict__
+        d["c"] = _bits(x, self._n)
+        d["_mask"] = x
+        return s
 
     def _member_mask(self, s) -> int | None:
         """The mask of s if s equals an element, else None.  Equality is
         the one a list of the elements applies: a ``SpinStructure`` whose c
-        is a tuple of n entries, each equal to 0 or 1."""
-        if (type(s) is not SpinStructure or not isinstance(s.c, tuple)
-                or not all(x == 0 or x == 1 for x in s.c)):
+        is a tuple of n entries, each equal to 0 or 1.  The entries equal
+        to 1 are found, and the rest counted as equal to 0, at C speed."""
+        if type(s) is not SpinStructure or not isinstance(s.c, tuple):
             return None
-        return _characteristic_mask(self._p, SpinStructure(tuple(x == 1 for x in s.c)))
+        c = s.c
+        ones = bytes(map(eq, c, repeat(1)))
+        if len(c) != self._n or c.count(0) + ones.count(1) != len(c):
+            return None
+        x = int(ones.translate(_PARITY_DIGITS)[::-1] or b"0", 2)
+        q = self._p.q
+        return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
 
     def __contains__(self, s) -> bool:
         return self._member_mask(s) is not None
@@ -215,17 +258,40 @@ def wu_coset_of_difference(
     coset.  The map is onto Gamma2 with fibres of size 2**betti1.  A
     class met before comes back as the same ``WuCoset`` (``p._wu_cosets``).
     """
-    delta = 0
-    for s in (s1, s2):
-        x = _characteristic_mask(p, s)
-        if x is None:
-            raise InvalidSpinStructure(
-                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
-                f"for {_QUOTE.repr(p.name)}"
-            )
-        delta ^= x
+    q = p.q
+    n, rows, diagonal = len(q.entries), q._row_tables, q._over_z2[1]
+    # s1, then s2: a carried mask is tested here, over the row tables; any
+    # other argument goes through _characteristic_mask
+    x1 = s1._mask if type(s1) is SpinStructure and len(s1.c) == n else None
+    if x1 is None:
+        x1 = _characteristic_mask(p, s1)
+        if x1 is None:
+            raise _not_characteristic(p, s1)
+    else:
+        acc, y = 0, x1
+        for table in rows:
+            acc ^= table[y & _CHUNK_LOW]
+            y >>= _CHUNK
+        if acc != diagonal:
+            raise _not_characteristic(p, s1)
+    x2 = s2._mask if type(s2) is SpinStructure and len(s2.c) == n else None
+    if x2 is None:
+        x2 = _characteristic_mask(p, s2)
+        if x2 is None:
+            raise _not_characteristic(p, s2)
+    else:
+        acc, y = 0, x2
+        for table in rows:
+            acc ^= table[y & _CHUNK_LOW]
+            y >>= _CHUNK
+        if acc != diagonal:
+            raise _not_characteristic(p, s2)
+    delta = x1 ^ x2
     alpha, tables = p._gamma2_tables
-    coords = _xor_lookup(tables, delta, _CHUNK)
+    coords = 0
+    for table in tables:
+        coords ^= table[delta & _CHUNK_LOW]
+        delta >>= _CHUNK
     memo = p._wu_cosets
     coset = memo.get(coords)
     if coset is None:
@@ -233,3 +299,11 @@ def wu_coset_of_difference(
         if len(memo) < _WU_COSET_CAP:
             memo[coords] = coset
     return coset
+
+
+def _not_characteristic(p: SurgeryPresentation, s: SpinStructure) -> InvalidSpinStructure:
+    """The error of a Wu call whose argument s is not characteristic for p."""
+    return InvalidSpinStructure(
+        f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+        f"for {_QUOTE.repr(p.name)}"
+    )

@@ -142,14 +142,15 @@ class Gamma2Element:
 
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coords = self.coords
+    def __init__(self, coords: tuple[int, ...]) -> None:
         # a tuple of bits passes at C speed; anything else is checked entry
-        # by entry
+        # by entry.  The field is then stored as the frozen dataclass
+        # __init__ stores it, without a second call for the check
         if (type(coords) is not tuple
                 or coords.count(0) + coords.count(1) != len(coords)):
             if any(b not in (0, 1) for b in coords):
                 raise ValueError("coordinates must be bits")
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def zero(cls, rank: int) -> "Gamma2Element":

@@ -50,6 +50,20 @@ encoded c on every test and built a new coset on every call, kept here
 verbatim, on 10,400 probes: spin structures of another presentation of
 the same n, user-built vectors, arguments that are not spin structures,
 and copy, pickle and ``dataclasses.replace`` round trips.
+
+``spins[k]`` by one walk of the solution tables into an instance dict
+written directly, the Wu call that tests s1 and then s2 in straight-line
+code, and membership read at C speed are checked against the routines
+that called ``_xor_lookup`` per lookup, built every element through the
+frozen ``__init__`` and scanned c twice, kept here verbatim, on 10,400
+probes that compare the value and its object state (dict, fields, hash,
+repr, round trips) or the exception.  ``parse_wu_coords``, the coset
+block of ``parse_manifold``, ``embedding_classes`` and the
+``Gamma2Element`` check are checked against their former versions, kept
+here verbatim, on 3,500 probes each, malformed keys and signature lists
+among them.  The GF(2) elimination keyed by lowest set bit is checked
+against the column scan it replaced, kept here verbatim, on 10,000
+systems.
 """
 
 import copy
@@ -59,6 +73,7 @@ import pickle
 import random
 import itertools
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -67,7 +82,16 @@ from operator import index, mul
 import pytest
 
 from imm5 import surgery
-from imm5.errors import _QUOTE, InvalidSpinStructure, NoSolution
+from imm5.cli import ManifoldData, _cut, _ints, parse_manifold, parse_wu_coords
+from imm5.embeddings import EmbeddingClassSet, SpinBoundarySignatures, embedding_classes
+from imm5.errors import (
+    _QUOTE,
+    CosetUncovered,
+    InvalidSpinStructure,
+    NoSolution,
+    ParityViolation,
+    ParseError,
+)
 from imm5.intlinalg import (
     _CHUNK,
     _TAIL,
@@ -88,18 +112,22 @@ from imm5.intlinalg import (
 )
 from imm5.spin import (
     _PARITY_DIGITS,
+    _WU_COSET_CAP,
     SpinStructure,
     WuCoset,
     _SpinSpace,
     _bits,
     _characteristic_mask,
+    _parity_mask,
     spin_structures,
     wu_coset_of_difference,
 )
 from imm5.surgery import (
     Gamma2Element,
+    HomologyProfile,
     SurgeryPresentation,
     even_torsion_positions,
+    gamma2_elements,
     homology_profile,
 )
 from imm5.verify import random_symmetric
@@ -1156,3 +1184,619 @@ def test_carried_masks_and_memo_match_uncached_reference():
     assert foreign_rejected >= 200
     assert results["wu"] >= 2000 and min(results.values()) >= 200 and set(results) == {
         "wu", "InvalidSpinStructure", "TypeError", "AttributeError"}, results
+
+
+# ----------------------------------------------------------------------
+# The GF(2) elimination keyed by lowest set bit, against the column scan
+# it replaced
+# ----------------------------------------------------------------------
+
+GJ_SYSTEMS = 10000
+
+
+def column_scan_gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:
+    """The former ``_gauss_jordan_mod2``, verbatim."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        bit = 1 << c
+        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row & bit:
+                rows[i] = row ^ prow
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def gf2_system(rng: random.Random) -> tuple[str, list[int], int, int]:
+    """(shape, bitmask rows with the augmented columns in bits ncols and up,
+    ncols, augmented width).  Chains and plumbing trees run up to n = 200,
+    dense square systems up to n = 60; some rows are zeroed or repeated,
+    and the augmented columns are either images of random vectors or
+    random bits, so that many systems are inconsistent."""
+    shape = rng.choice(("chain", "tree", "dense", "rectangular"))
+    if shape in ("chain", "tree"):
+        # q mod 2 of a plumbing: framings on the diagonal, one edge from
+        # each vertex to an earlier one (the one before, on a chain)
+        ncols = rng.randint(41, 200) if rng.random() < 0.06 else rng.randint(1, 40)
+        left = [(rng.random() < 0.6) << i for i in range(ncols)]
+        for i in range(1, ncols):
+            j = i - 1 if shape == "chain" or rng.random() < 0.8 else rng.randrange(i)
+            if rng.random() < 0.8:  # an odd edge
+                left[i] |= 1 << j
+                left[j] |= 1 << i
+    elif shape == "dense":
+        ncols = 60 if rng.random() < 0.2 else rng.randint(1, 60)
+        left = [rng.getrandbits(ncols) for _ in range(ncols)]
+    else:
+        ncols = rng.randint(0, 30)
+        left = [rng.getrandbits(ncols) & rng.getrandbits(ncols) if ncols else 0
+                for _ in range(rng.randint(0, 30))]
+    if left and rng.random() < 0.4:
+        for i in rng.sample(range(len(left)), rng.randint(1, len(left))):
+            left[i] = 0 if rng.random() < 0.5 else left[rng.randrange(len(left))]
+    width = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        xs = [rng.getrandbits(ncols) if ncols else 0 for _ in range(width)]
+        aug = [sum(((row & x).bit_count() & 1) << k for k, x in enumerate(xs))
+               for row in left]
+    else:
+        aug = [rng.getrandbits(width) for _ in left]
+    return shape, [row | (b << ncols) for row, b in zip(left, aug)], ncols, width
+
+
+def xor_span(vectors) -> set[int]:
+    """Every XOR of a subset of the bitmask vectors."""
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return span
+
+
+def test_lowest_bit_elimination_matches_column_scan_reference():
+    """``_gauss_jordan_mod2`` against the column scan it replaced, on
+    10,000 seeded systems: chains and plumbing trees up to n = 200, dense
+    systems up to n = 60, rectangular ones, with one to three augmented
+    columns.  The pivots are the same.  A consistent system gives the same
+    rows; an inconsistent one the same rows below ncols, a leftover row
+    with a nonzero augmented part in both, and the same row space."""
+    rng = random.Random("lowest-bit")
+    shapes, results = Counter(), Counter()
+    for _ in range(GJ_SYSTEMS):
+        shape, rows, ncols, _ = gf2_system(rng)
+        old, new = list(rows), list(rows)
+        pivots = column_scan_gauss_jordan_mod2(old, ncols)
+        assert _gauss_jordan_mod2(new, ncols) == pivots, (rows, ncols)
+        inconsistent = any(row >> ncols for row in old[len(pivots):])
+        assert any(row >> ncols for row in new[len(pivots):]) == inconsistent
+        if inconsistent:
+            # the same rows below ncols; the pivot rows' augmented parts
+            # differ by a combination of the leftover rows', which span the
+            # same space: the same row space
+            low = (1 << ncols) - 1
+            assert [row & low for row in new] == [row & low for row in old]
+            span = xor_span(row >> ncols for row in old[len(pivots):])
+            assert xor_span(row >> ncols for row in new[len(pivots):]) == span
+            assert all((a ^ b) >> ncols in span for a, b in zip(new, old))
+        else:
+            assert new == old, (rows, ncols)
+        shapes[shape] += 1
+        results["inconsistent" if inconsistent else "consistent"] += 1
+        results["large"] += ncols > 150
+    assert min(shapes.values()) >= 2000, shapes
+    assert min(results.values()) >= 50, results
+    assert results["inconsistent"] >= 2000 and results["consistent"] >= 2000, results
+
+
+# ----------------------------------------------------------------------
+# Spin reads, Wu calls and coset parsing at the cost of their lookups,
+# against the routines that made a call per lookup and built every object
+# through the frozen dataclass __init__
+# ----------------------------------------------------------------------
+
+STRAIGHT_SIZES = (0, 1, 4, 8, 9, 16, 17, 64)
+STRAIGHT_PROBES = 1300  # per size
+
+
+def lookup_call_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
+    """The former ``_characteristic_mask``, verbatim."""
+    c, q = s.c, p.q
+    if len(c) != len(q.entries):
+        return None
+    if type(s) is not SpinStructure or type(c) is not tuple:
+        x = _parity_mask(c)
+    else:
+        x = s._mask
+        if x is None:
+            x = s.__dict__["_mask"] = _parity_mask(c)
+    return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
+
+
+class FrozenInitSpinSpace(_SpinSpace):
+    """The sequence with the former ``_unpack``, ``__getitem__`` and
+    ``_member_mask``, verbatim but for the name of the characteristic test:
+    an element through the frozen ``__init__``, a call to ``_xor_lookup``
+    per read, and membership by two scans of c in Python."""
+
+    def _unpack(self, x: int) -> SpinStructure:
+        """The element whose mask is x, carrying it."""
+        s = SpinStructure(_bits(x, self._n))
+        s.__dict__["_mask"] = x
+        return s
+
+    def __getitem__(self, k):
+        count = self._sol.count
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(count))]
+        k = index(k)
+        if not -count <= k < count:
+            raise IndexError("spin structure index out of range")
+        # Mod2Solution.mask(k % count), one call fewer
+        x, tables = self._sol._tables
+        return self._unpack(x ^ _xor_lookup(tables, k % count, _TAIL))
+
+    def _member_mask(self, s) -> int | None:
+        """The mask of s if s equals an element, else None.  Equality is
+        the one a list of the elements applies: a ``SpinStructure`` whose c
+        is a tuple of n entries, each equal to 0 or 1."""
+        if (type(s) is not SpinStructure or not isinstance(s.c, tuple)
+                or not all(x == 0 or x == 1 for x in s.c)):
+            return None
+        return lookup_call_characteristic_mask(
+            self._p, SpinStructure(tuple(x == 1 for x in s.c)))
+
+
+def lookup_call_wu_coset_of_difference(
+    p: SurgeryPresentation, s1: SpinStructure, s2: SpinStructure
+) -> WuCoset:
+    """The former ``wu_coset_of_difference``, verbatim but for the name of
+    the characteristic test."""
+    delta = 0
+    for s in (s1, s2):
+        x = lookup_call_characteristic_mask(p, s)
+        if x is None:
+            raise InvalidSpinStructure(
+                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+                f"for {_QUOTE.repr(p.name)}"
+            )
+        delta ^= x
+    alpha, tables = p._gamma2_tables
+    coords = _xor_lookup(tables, delta, _CHUNK)
+    memo = p._wu_cosets
+    coset = memo.get(coords)
+    if coset is None:
+        coset = WuCoset(Gamma2Element(_bits(coords, alpha)))
+        if len(memo) < _WU_COSET_CAP:
+            memo[coords] = coset
+    return coset
+
+
+@dataclasses.dataclass(frozen=True)
+class PostInitGamma2Element:
+    """The former ``Gamma2Element``'s field and check, verbatim: the frozen
+    dataclass ``__init__``, then ``__post_init__``."""
+
+    coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        coords = self.coords
+        # a tuple of bits passes at C speed; anything else is checked entry
+        # by entry
+        if (type(coords) is not tuple
+                or coords.count(0) + coords.count(1) != len(coords)):
+            if any(b not in (0, 1) for b in coords):
+                raise ValueError("coordinates must be bits")
+
+
+class Index:
+    """An integer known to ``operator.index`` only."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
+class BitTuple(tuple):
+    pass
+
+
+def object_state(obj):
+    """What two returned objects must share: the class, the instance dict
+    in order, the dataclass field names, hash and repr, each also after a
+    pickle, copy and ``dataclasses.replace`` round trip; for a
+    ``WuCoset`` the same of its value.  A list gives the states of its
+    items, any other value itself."""
+    if isinstance(obj, list):
+        return [object_state(x) for x in obj]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+
+    def own(o):
+        return (type(o), list(o.__dict__.items()), [f.name for f in dataclasses.fields(o)],
+                outcome(hash, o), repr(o))
+
+    trips = (pickle.loads(pickle.dumps(obj)), copy.copy(obj), dataclasses.replace(obj))
+    inner = object_state(obj.value) if type(obj) is WuCoset else None
+    return own(obj), [own(o) for o in trips], inner
+
+
+def index_probe(rng, count: int):
+    """An index of each kind ``spins[k]`` takes or refuses."""
+    kind = rng.randrange(9)
+    k = rng.randrange(count)
+    if kind <= 2:
+        return k
+    if kind == 3:
+        return k - count
+    if kind == 4:
+        return rng.choice((True, False))
+    if kind == 5:
+        return Index(k if rng.random() < 0.8 else count)
+    if kind == 6:
+        start = rng.choice((k, k - count))
+        return slice(start, start + rng.randint(-3, 3), rng.choice((None, 1, 2, -1)))
+    if kind == 7:
+        return rng.choice((count, -count - 1, count + 2 ** 80, -2 ** 90))
+    return rng.choice((1.0, "0", None, 2 ** 0.5))
+
+
+def member_probe(rng, spins):
+    """A vector for ``in``, ``count`` and ``index``: an element, one with
+    entries True/False, 1.0 or -0.0, one of the wrong length, a list c, a
+    tuple subclass, entries outside {0, 1}, or no spin structure at all."""
+    n = spins._n
+    c = list(any_spin(rng, spins._p, spins).c if rng.random() < 0.7 else
+             [rng.randint(0, 1) for _ in range(n)])
+    kind = rng.randrange(8)
+    if kind == 1:
+        c = [bool(x) for x in c]
+    elif kind == 2 and n:
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            c[j] = float(c[j]) if c[j] else rng.choice((0.0, -0.0))
+    elif kind == 3:
+        c = c[:-1] if c and rng.random() < 0.5 else c + [0]
+    elif kind == 4:
+        return SpinStructure(c)
+    elif kind == 5:
+        return SpinStructure(BitTuple(c))
+    elif kind == 6 and n:
+        c[rng.randrange(n)] = rng.choice((2, -1, "1", None))
+    elif kind == 7:
+        return rng.choice((tuple(c), None, "spin"))
+    return SpinStructure(tuple(c))
+
+
+def test_straight_line_spin_and_wu_match_lookup_call_reference():
+    """``spins[k]``, ``in``/``count``/``index`` and
+    ``wu_coset_of_difference`` against the former routines on 10,400
+    probes: the same value, with the same object state (``object_state``),
+    or the same exception type and message.  Indices include negative ones,
+    bools, ``__index__`` objects, slices, out-of-range and non-integer
+    ones; the Wu probes are those of the carried-mask test, each made once
+    and once more so that both the coset built and the coset kept are
+    compared, and a quarter of the presentations start with their memo at
+    the cap.  The former and the current routines run on two presentations
+    of one matrix, so neither reads the other's memo."""
+    rng = random.Random("straight-line")
+    results = Counter()
+    for n in STRAIGHT_SIZES:
+        spaces = []
+        for _ in range(2 if n == 64 else 12):
+            rows = moved_diagonal(rng, n)
+            old_p = SurgeryPresentation("d", IntSymMatrix(rows))
+            new_p = SurgeryPresentation("d", IntSymMatrix(rows))
+            if rng.random() < 0.25:
+                # memos already at the cap, with keys no coordinates take
+                for p in (old_p, new_p):
+                    p._wu_cosets.update((-1 - i, None) for i in range(_WU_COSET_CAP))
+            spaces.append((FrozenInitSpinSpace(old_p), spin_structures(new_p)))
+        for _ in range(STRAIGHT_PROBES):
+            own, foreign = rng.choice(spaces), rng.choice(spaces)
+            count = homology_profile(own[1]._p).spin_structure_count
+            k = index_probe(rng, count)
+            want = outcome(own[0].__getitem__, k)
+            assert object_state(outcome(own[1].__getitem__, k)) == object_state(want), k
+            results["read " + (type(want).__name__ if not isinstance(want, tuple)
+                               else want[0].__name__)] += 1
+
+            s = member_probe(rng, own[1])
+            start, stop = rng.choice(((0, None), (1, None), (0, 1), (-2, None)))
+            for method in ("__contains__", "count"):
+                assert outcome(getattr(own[1], method), s) == \
+                    outcome(getattr(own[0], method), s), s
+            want = outcome(own[0].index, s, start, stop)
+            assert outcome(own[1].index, s, start, stop) == want, s
+            results["member " + ("index" if isinstance(want, int) else "ValueError")] += 1
+
+            kind = rng.choice(CARRIED_KINDS)
+            old1, new1 = carried_probe(rng, kind, own, foreign)
+            old2, new2 = (carried_probe(rng, rng.choice(CARRIED_KINDS), own, foreign)
+                          if rng.random() < 0.3 else (own[0][0], own[1][0]))
+            want = outcome(lookup_call_wu_coset_of_difference, own[0]._p, old1, old2)
+            got = outcome(wu_coset_of_difference, own[1]._p, new1, new2)
+            assert object_state(got) == object_state(want), (new1, new2)
+            # again: the coset kept, or past the cap a new one
+            want_again = outcome(lookup_call_wu_coset_of_difference, own[0]._p, old1, old2)
+            got_again = outcome(wu_coset_of_difference, own[1]._p, new1, new2)
+            assert (got_again is got) == (want_again is want)
+            if got_again is not got:
+                assert object_state(got_again) == object_state(want_again), (new1, new2)
+                results["wu rebuilt"] += isinstance(want, WuCoset)
+            results["wu " + ("coset" if isinstance(want, WuCoset) else want[0].__name__)] += 1
+    assert sum(results[k] for k in results if k.startswith("read")) >= 10000
+    assert min(results.values()) >= 200 and set(results) == {
+        "read SpinStructure", "read list", "read IndexError", "read TypeError",
+        "member index", "member ValueError", "wu coset", "wu rebuilt",
+        "wu InvalidSpinStructure", "wu TypeError", "wu AttributeError"}, results
+
+
+def string_pass_parse_wu_coords(text: str, alpha: int) -> Gamma2Element:
+    """The former ``parse_wu_coords``, verbatim."""
+    cleaned = str(text).strip().strip("()").replace(",", "").replace(" ", "")
+    if alpha == 0:
+        if cleaned in ("", "0"):
+            return Gamma2Element(())
+        raise ParseError(
+            f"Wu coordinates {_QUOTE.repr(text)} invalid: Gamma2 is trivial here")
+    if len(cleaned) != alpha or cleaned.strip("01"):
+        raise ParseError(
+            f"Wu coordinates {_QUOTE.repr(text)} invalid: expected {alpha} bits"
+        )
+    return Gamma2Element(tuple(map(int, cleaned)))
+
+
+def eager_label_parse_manifold(data: dict) -> ManifoldData:
+    """The former ``parse_manifold``, verbatim but for the name of the
+    coordinate parser: its coset block builds each coset's error label
+    before reading the coset's signatures."""
+    if not isinstance(data, dict):
+        raise ParseError("manifold file must hold a JSON object")
+    name = str(data.get("name", "unnamed"))
+    matrix = data.get("linking_matrix")
+    if not isinstance(matrix, list):
+        raise ParseError("manifold file needs a 'linking_matrix' list of rows")
+    rows = [_ints(row, f"linking_matrix[{r}]") for r, row in enumerate(matrix)]
+    pres = SurgeryPresentation(name, IntSymMatrix(rows))
+    profile = homology_profile(pres)
+
+    signatures = None
+    block = data.get("spin_boundary_signatures")
+    if block is not None:
+        if not isinstance(block, dict):
+            raise ParseError("'spin_boundary_signatures' must map cosets to lists")
+        per_coset: dict[Gamma2Element, frozenset[int]] = {}
+        for key, values in block.items():
+            coset = string_pass_parse_wu_coords(key, profile.alpha)
+            sigs = frozenset(_ints(values, f"signatures for coset {_cut(key)!r}"))
+            for s0 in sigs:
+                if (s0 - profile.alpha) % 2:
+                    raise ParityViolation(
+                        f"base signature {_QUOTE.repr(s0)} for coset {_cut(key)!r} "
+                        f"has the wrong parity (alpha = {profile.alpha})"
+                    )
+            per_coset[coset] = per_coset.get(coset, frozenset()) | sigs
+        signatures = SpinBoundarySignatures(per_coset)
+    return ManifoldData(pres, profile, signatures)
+
+
+def coset_lookup_embedding_classes(h: HomologyProfile,
+                                   sig: SpinBoundarySignatures) -> EmbeddingClassSet:
+    """The former ``embedding_classes``, verbatim."""
+    offsets: dict[Gamma2Element, frozenset[int]] = {}
+    for coset in gamma2_elements(h):
+        sigs = sig.per_coset.get(coset)
+        if not sigs:
+            raise CosetUncovered(
+                f"no base signature supplied for Wu coset {coset}"
+            )
+        here = set()
+        for s0 in sigs:
+            if (s0 - h.alpha) % 2:
+                raise ParityViolation(
+                    f"base signature {_QUOTE.repr(s0)} has the wrong parity "
+                    f"(alpha = {h.alpha})"
+                )
+            here.add((3 * (s0 - h.alpha) // 2) % 24)
+        offsets[coset] = frozenset(here)
+    return EmbeddingClassSet(offsets)
+
+
+COSET_PROBES = 3500  # of each of the three kinds below
+
+
+def mapping_state(mapping):
+    """The items of a coset-keyed mapping in order: each key's class,
+    instance dict, hash and repr (``object_state`` without the round
+    trips), each value with its type."""
+    return [((type(k), list(k.__dict__.items()), hash(k), repr(k)), v, type(v))
+            for k, v in mapping.items()]
+
+
+def coset_key(rng, alpha: int) -> str:
+    """A coset key as a file may hold it, well formed or not."""
+    bits = "".join(rng.choice("01") for _ in range(alpha))
+    kind = rng.randrange(12)
+    if kind <= 4:
+        return bits or rng.choice(("", "0"))
+    if kind == 5:
+        return "(" + ", ".join(bits) + ")"
+    if kind == 6:
+        return rng.choice((" ", "\t", "\n", "")) + " ".join(bits) + rng.choice((" ", "\n", ""))
+    if kind == 7:
+        # a line break inside, brackets, a digit past 1, the wrong length
+        at = rng.randint(0, len(bits))
+        return bits[:at] + rng.choice(("\n", "\r\n", "[", "]", "2", "", "0", "x")) + bits[at:]
+    if kind == 8:
+        return bits.translate(str.maketrans("01", rng.choice(("٠١", "０１", "oi"))))
+    if kind == 9:
+        return bits * rng.randint(20, 60)  # cut in a message
+    if kind == 10:
+        return rng.choice(("", "0", "00", "()", "1", "(,)"))
+    return bits[:-1] if bits else "01"
+
+
+def signature_list(rng, alpha: int):
+    """A signature list as a file may hold it: integers of the parity of
+    alpha or not, booleans, floats, decimal strings, nested lists, or no
+    list at all."""
+    good = [alpha + 2 * rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+    kind = rng.randrange(12)
+    if kind <= 5:
+        return good
+    if kind == 6:
+        return good + [alpha + 1 + 2 * rng.randint(-3, 3)]
+    if kind == 7:
+        return good + [rng.choice((True, False, 2.0, 0.5, float(alpha)))]
+    if kind == 8:
+        return good + [rng.choice((str(alpha), f" {alpha + 2} ", "-4", "1e3", "0x10", "٣",
+                                   "9" * 5000, str(2 ** 70 + alpha), ""))]
+    if kind == 9:
+        return good + [[alpha]] if rng.random() < 0.5 else [good]
+    if kind == 10:
+        return good + [2 ** 80 + alpha]
+    return rng.choice((None, alpha, str(alpha), {"s": alpha}, "", True))
+
+
+def coset_matrix(rng) -> list[list[int]]:
+    """A linking matrix with alpha from 0 to 4: a diagonal moved by
+    congruences."""
+    diag = [rng.choice((2, -2, 4, 6, 1, -1, 3, 5, 0)) for _ in range(rng.randint(0, 5))]
+    return _congruent_diagonal(rng, diag) if diag else []
+
+
+def gamma2_coords(rng):
+    """Coordinates to build a ``Gamma2Element`` from: bits, bools,
+    floats, lists, strings, bytes, ranges, nested tuples, a tuple
+    subclass, or no sequence at all."""
+    bits = [rng.randint(0, 1) for _ in range(rng.randint(0, 12))]
+    kind = rng.randrange(10)
+    if kind <= 3:
+        return tuple(bits)
+    if kind == 4:
+        return tuple(bool(b) for b in bits)
+    if kind == 5 and bits:
+        bits[rng.randrange(len(bits))] = rng.choice((1.0, 0.0, -0.0, 2.0, 0.5, 2, -1))
+        return tuple(bits)
+    if kind == 6:
+        return bits
+    if kind == 7:
+        return rng.choice(("".join(map(str, bits)), bytes(bits), range(2), ((0,), (1,))))
+    if kind == 8:
+        return BitTuple(bits)
+    return rng.choice((None, 0, 1, 1.5))
+
+
+def gamma2_state(g):
+    """``object_state`` of a Gamma2Element of either class, named alike."""
+    state = repr(object_state(g))
+    return state.replace("PostInitGamma2Element", "Gamma2Element").replace(
+        "test_kernel_differential.", "imm5.surgery.")
+
+
+def test_coset_parsing_and_offsets_match_string_pass_reference():
+    """``parse_wu_coords``, the coset block of ``parse_manifold``,
+    ``embedding_classes`` and the ``Gamma2Element`` check against the
+    former routines, 3,500 seeded probes each: the same value and object
+    state, or the same exception type and message.  Keys (strings, as a
+    JSON object holds them) are bare bit strings, bracketed, spaced, broken
+    by line breaks, of the wrong length, in other digits or long enough to
+    be cut; signature lists hold integers of either parity, booleans,
+    floats, decimal strings, nested lists, or are no list at all.  Offsets
+    are asked of coverings with a coset missing or empty, a wrong parity,
+    extra keys, keys with bool or float coordinates, and a read-only
+    mapping."""
+    rng = random.Random("coset-parsing")
+    results = Counter()
+    for _ in range(COSET_PROBES):
+        alpha = rng.randint(0, 4)
+        text = coset_key(rng, alpha) if rng.random() < 0.9 else rng.choice(
+            (0, 101, None, True, 1.5, [0, 1], b"01"))
+        want = outcome(string_pass_parse_wu_coords, text, alpha)
+        assert object_state(outcome(parse_wu_coords, text, alpha)) == object_state(want), text
+        results["coords " + ("ok" if isinstance(want, Gamma2Element) else want[0].__name__)] += 1
+
+    matrices = []
+    for _ in range(40):
+        rows = coset_matrix(rng)
+        matrices.append((rows, homology_profile(SurgeryPresentation("m", IntSymMatrix(rows))).alpha))
+    for _ in range(COSET_PROBES):
+        rows, alpha = rng.choice(matrices)
+        block = {coset_key(rng, alpha): signature_list(rng, alpha)
+                 for _ in range(rng.randint(0, 6))}
+        data = {"name": "m", "linking_matrix": rows, "spin_boundary_signatures": block}
+        want = outcome(eager_label_parse_manifold, data)
+        got = outcome(parse_manifold, data)
+        if isinstance(want, tuple):
+            assert got == want, block
+            results["parse " + want[0].__name__] += 1
+            continue
+        assert (got.presentation, got.profile) == (want.presentation, want.profile)
+        assert mapping_state(got.signatures.per_coset) == \
+            mapping_state(want.signatures.per_coset), block
+        results["parse ok"] += 1
+        results["parse merged"] += len(want.signatures.per_coset) < len(block)
+
+    for _ in range(COSET_PROBES):
+        coords = gamma2_coords(rng)
+        want = outcome(PostInitGamma2Element, coords)
+        got = outcome(Gamma2Element, coords)
+        if isinstance(want, tuple):
+            assert got == want, coords
+            results["gamma2 " + want[0].__name__] += 1
+            continue
+        assert gamma2_state(got) == gamma2_state(want), coords
+        assert gamma2_state(Gamma2Element(coords=coords)) == gamma2_state(want)
+        results["gamma2 ok"] += 1
+
+        h = HomologyProfile(rng.randint(0, 2), tuple(rng.choice((2, 4, 6, 8))
+                                                     for _ in range(rng.randint(0, 5))))
+        per_coset = {c: frozenset(h.alpha + 2 * rng.randint(-9, 9)
+                                  for _ in range(rng.randint(1, 3)))
+                     for c in gamma2_elements(h)}
+        kind = rng.randrange(8)
+        cosets = list(per_coset)
+        pick = rng.choice(cosets)
+        if kind == 1:
+            del per_coset[pick]
+        elif kind == 2:
+            per_coset[pick] = rng.choice((frozenset(), [], ()))
+        elif kind == 3:
+            per_coset[pick] = per_coset[pick] | {h.alpha + 1}
+        elif kind == 4:
+            # keys no coset equals: another rank, a string, a bare tuple, and
+            # an object of another class with the same coordinates
+            for extra in (Gamma2Element((0,) * (h.alpha + 1)), str(pick), pick.coords,
+                          PostInitGamma2Element(pick.coords)):
+                per_coset[extra] = frozenset({h.alpha + 1})
+            if rng.random() < 0.5:
+                del per_coset[pick]
+        elif kind == 5 and pick.coords:
+            sigs = per_coset.pop(pick)
+            per_coset[Gamma2Element(tuple(rng.choice((bool(b), float(b)))
+                                          for b in pick.coords))] = sigs
+        elif kind == 6:
+            per_coset = types.MappingProxyType(per_coset)
+        elif kind == 7:
+            per_coset = {c: sorted(v) for c, v in per_coset.items()}
+        sig = SpinBoundarySignatures(per_coset)
+        want = outcome(coset_lookup_embedding_classes, h, sig)
+        got = outcome(embedding_classes, h, sig)
+        if isinstance(want, tuple):
+            assert got == want, per_coset
+            results["offsets " + want[0].__name__] += 1
+        else:
+            assert mapping_state(got.offsets_mod_24) == mapping_state(want.offsets_mod_24)
+            results["offsets ok"] += 1
+    assert min(results.values()) >= 100 and set(results) == {
+        "coords ok", "coords ParseError", "parse ok", "parse merged", "parse ParseError",
+        "parse ParityViolation", "gamma2 ok", "gamma2 ValueError", "gamma2 TypeError",
+        "offsets ok", "offsets CosetUncovered", "offsets ParityViolation"}, results

@@ -1,5 +1,5 @@
-"""The package's public names, listed in order, and the oldest Python
-whose syntax its modules keep to.
+"""The package's public names, listed in order, the oldest Python whose
+syntax its modules keep to, and the names the benchmark's tracer patches.
 
 ``imm5.__all__`` is derived from the package's import block, so an
 import added or dropped there changes the public surface; this list
@@ -7,6 +7,7 @@ makes that change visible.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import imm5
@@ -83,3 +84,19 @@ def test_modules_parse_at_the_syntax_floor():
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=SYNTAX_FLOOR)
+
+
+def test_traced_names_resolve():
+    """Every (module, name) in ``TRACED`` of ``bench/tracer.py`` names a
+    callable of the package, so that renaming a traced routine fails here
+    and not only in a traced benchmark run.  The list is read from the
+    file's syntax tree; nothing under ``bench/`` is imported."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"), filename=str(tracer))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert len(traced) >= 10
+    for module, name, _span in traced:
+        assert module.startswith("imm5."), module
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
