@@ -16,12 +16,13 @@ is an int whose bit j holds column j and row addition is XOR; one
 Gauss-Jordan loop, which keys its pivot rows by their lowest set bit,
 serves that pass and ``solve_mod2``.  A solution set is never listed:
 solution k is read off tables of kernel combinations
-(``Mod2Solution.mask``) and ``Mod2Solution.masks`` streams them.
-``_xor_tables`` builds those tables and the tables of the rows of q mod
-2 (``_row_tables``) that make q x mod 2 a few lookups;
-``_xor_lookup`` reads them, and ``spin`` walks them inline on its
-per-element paths.  All integer arithmetic is arbitrary precision and
-neither fractions nor floating point are used.
+(``Mod2Solution.mask``), ``Mod2Solution.masks`` streams them, and
+``Mod2Solution.index`` reads k back off the free columns of a mask.
+``_xor_tables`` builds those tables and the one table set per
+presentation that makes q x mod 2 and the Gamma2 coordinates a few
+lookups (``surgery``); ``_xor_lookup`` reads them, and ``spin`` walks
+them inline on its per-element paths.  All integer arithmetic is
+arbitrary precision and neither fractions nor floating point are used.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd, prod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import _QUOTE, AsymmetricMatrix, NoSolution
@@ -91,14 +93,6 @@ class IntSymMatrix:
         diagonal = _mask(self.diagonal())
         aug = [row | ((diagonal >> i) & 1) << self.n for i, row in enumerate(rows)]
         return rows, diagonal, _solve_augmented(aug, self.n)
-
-    @cached_property
-    def _row_tables(self) -> tuple[list[int], ...]:
-        """``_xor_tables`` of the rows of q mod 2, _CHUNK to a table: q is
-        symmetric, so q x mod 2 is the XOR of the rows at the set bits of x.
-        They are built on first use, so that a matrix no vector is tested
-        against pays nothing for them."""
-        return _xor_tables(self._over_z2[0], _CHUNK)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntSymMatrix) and self.entries == other.entries
@@ -524,7 +518,7 @@ def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:
 
 # Vectors per XOR table (``_xor_tables``): _TAIL for the kernel vectors of a
 # Mod2Solution, which spin enumeration reads many times over.  _CHUNK, for the
-# rows of q mod 2 and the Gamma2 generator columns, is smaller because a
+# Wu tables (``SurgeryPresentation._wu_tables``), is smaller because a
 # presentation may test only a few vectors against up to a few hundred rows:
 # n/4 tables of 16 entries cost about as much to build as those tests save,
 # where n/8 tables of 256 cost several times more.
@@ -638,21 +632,22 @@ class Mod2Solution:
         return x ^ _xor_lookup(tables, k, _TAIL)
 
     @cached_property
-    def _free_columns(self) -> tuple[int, ...]:
-        """The free column of each kernel vector, its top bit, in kernel
-        order (``index``)."""
-        return tuple(_mask(vec).bit_length() - 1 for vec in self.kernel)
+    def _free_digits(self) -> itemgetter:
+        """Picks the free column of each kernel vector, its top bit, in
+        kernel order, out of a mask's binary digits least significant first
+        (``index``)."""
+        return itemgetter(*(_mask(vec).bit_length() - 1 for vec in self.kernel))
 
     def index(self, x: int) -> int:
-        """The k with ``mask(k) == x``, for a solution x of a Gauss-Jordan
-        pass: each kernel vector there has its free column as its top bit,
-        which no other kernel vector sets, so the bits of k are those
-        columns' bits of x XOR the particular solution."""
-        x ^= self._tables[0]
-        k = 0
-        for f in self._free_columns:
-            k = (k << 1) | ((x >> f) & 1)
-        return k
+        """The k whose ``mask(k)`` agrees with x on the free columns, so
+        ``mask(index(x)) == x`` exactly when x is a solution.  For a
+        Gauss-Jordan pass each kernel vector has its free column as its top
+        bit, which no other kernel vector sets, so the bits of k are those
+        columns' bits of x XOR the particular solution, read at C speed."""
+        if not self.kernel:
+            return 0
+        digits = f"{x ^ self._tables[0]:0{len(self.particular)}b}"[::-1]
+        return int("".join(self._free_digits(digits)), 2)
 
     def masks(self) -> Iterator[int]:
         """``mask(0)``, ``mask(1)``, ... streamed: each head ``mask(k)``

@@ -28,26 +28,25 @@ call.
   would leave.  Any other k (a bool, a negative or ``__index__`` index)
   is normalised first, a slice reads its elements, and an index out of
   range raises IndexError.
-* The characteristic test takes the mask that s carries, or reads a
-  tuple c of small entries as the binary digits of their parities, at C
-  speed.  It then forms q c mod 2, the XOR of the rows of q mod 2 at the
-  set bits of c, one lookup per four rows in XOR tables of those rows
-  (``IntSymMatrix._row_tables``, built on the first test), and compares
-  it with the kept diagonal mask, on every call.  It yields the mask of
-  c, and a difference of two spin structures is the XOR of their masks.
-* The Wu map tests s1 and then s2, both on every call: a spin structure
-  of the right length that carries its mask is tested over the row
-  tables in the Wu call itself, any other argument by
-  ``_characteristic_mask``.  It then reads the Gamma2 coordinates of the
-  difference, coordinate i at bit i, off XOR tables of the generator
-  columns in the same way (``SurgeryPresentation._gamma2_tables``).
-  Gamma2 has 2**alpha elements, so the presentation keeps the
-  ``WuCoset`` of each coordinate mask it has met
-  (``SurgeryPresentation._wu_cosets``) and returns that one immutable
+* The Wu map takes s1 and then s2.  Each argument's mask is the one a
+  spin structure of the right length carries, or is read off c by
+  ``_argument_mask``: at C speed for a tuple of small entries, stored on
+  a ``SpinStructure`` whose c is a tuple, and an InvalidSpinStructure for
+  a c of the wrong length.  One walk of the mask over the presentation's
+  one set of XOR tables (``SurgeryPresentation._wu_tables``, a lookup per
+  four link components) gives y: the Gamma2 coordinates of the mask, with
+  q c mod 2 above them.  The argument is characteristic when that upper
+  part is the kept diagonal mask, checked on every call.  Once both pass,
+  the upper parts cancel, and y1 XOR y2 is the coordinate mask of the
+  difference, coordinate i at bit i.  Gamma2 has 2**alpha elements, so
+  the presentation keeps the ``WuCoset`` of each coordinate mask it has
+  met (``SurgeryPresentation._wu_cosets``) and returns that one immutable
   object again; past _WU_COSET_CAP cosets a new one is built and not
   kept, so the memo does not grow with the number of calls.
 * Membership, ``count`` and ``index`` read the entries of c equal to 1,
-  and count the rest as equal to 0, at C speed, and test that mask.
+  and count the rest as equal to 0, at C speed.  The mask x is an
+  element when the solution read back at its position,
+  ``mask(index(x))``, is x itself.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from itertools import repeat
 from operator import eq, index
 
 from .errors import _QUOTE, InvalidSpinStructure
-from .intlinalg import _CHUNK, _TAIL, _xor_lookup
+from .intlinalg import _CHUNK, _TAIL
 from .surgery import Gamma2Element, SurgeryPresentation
 
 # _BYTE_BITS[b] is the byte b as 8 bits, least significant first
@@ -97,9 +96,9 @@ class SpinStructure:
     equality, hashing and ``repr`` see c alone.  ``spin_structures``
     builds its elements with c and the mask they were decoded from
     written straight into that dict; an instance built with c a tuple
-    stores its mask on its first characteristic test.  A c of any other
-    type is read afresh on every test.  A carried mask saves reading c
-    again, never the test: every Wu call checks both of its arguments
+    stores its mask on the first Wu call it is handed to.  A c of any
+    other type is read afresh on every call.  A carried mask saves reading
+    c again, never the test: every Wu call checks both of its arguments
     against the presentation it is given.
     """
 
@@ -136,26 +135,18 @@ def _parity_mask(c) -> int:
     return x
 
 
-def _characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
-    """s.c as a bitmask (bit j is c_j mod 2) if s is characteristic for p,
-    else None: q c = diag(q) mod 2, where q c mod 2 is the XOR of the rows
-    of q mod 2 at the set bits of c, looked up in
-    ``IntSymMatrix._row_tables``.
-
-    The mask is the one s carries, or is stored on s when c is a tuple
-    (``SpinStructure``); the test itself runs on every call, so a spin
-    structure of one presentation is checked afresh against another.
-    """
-    c, q = s.c, p.q
-    if len(c) != len(q.entries):
-        return None
-    if type(s) is not SpinStructure or type(c) is not tuple:
-        x = _parity_mask(c)
-    else:
-        x = s._mask
-        if x is None:
-            x = s.__dict__["_mask"] = _parity_mask(c)
-    return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
+def _argument_mask(p: SurgeryPresentation, s: SpinStructure) -> int:
+    """The mask of a Wu-map argument that carries no mask of the right
+    length: c read by ``_parity_mask`` and, when s is a ``SpinStructure``
+    whose c is a tuple, stored on s.  A c of the wrong length raises
+    InvalidSpinStructure."""
+    c = s.c
+    if len(c) != p.n:
+        raise _not_characteristic(p, s)
+    x = _parity_mask(c)
+    if type(s) is SpinStructure and type(c) is tuple:
+        s.__dict__["_mask"] = x
+    return x
 
 
 class _SpinSpace(Sequence):
@@ -179,8 +170,15 @@ class _SpinSpace(Sequence):
     def __len__(self) -> int:
         return self._sol.count
 
+    def __bool__(self) -> bool:
+        # never empty (``spin_structures``), and len() raises past sys.maxsize
+        return True
+
     def __iter__(self):
         return map(self._unpack, self._sol.masks())
+
+    def __reversed__(self):
+        return map(self.__getitem__, range(self._sol.count - 1, -1, -1))
 
     def __getitem__(self, k):
         sol = self._sol
@@ -216,8 +214,8 @@ class _SpinSpace(Sequence):
         if len(c) != self._n or c.count(0) + ones.count(1) != len(c):
             return None
         x = int(ones.translate(_PARITY_DIGITS)[::-1] or b"0", 2)
-        q = self._p.q
-        return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
+        sol = self._sol
+        return x if sol.mask(sol.index(x)) == x else None
 
     def __contains__(self, s) -> bool:
         return self._member_mask(s) is not None
@@ -241,7 +239,9 @@ def spin_structures(p: SurgeryPresentation) -> Sequence[SpinStructure]:
 
     The system is always solvable (the diagonal of a symmetric Z2
     matrix lies in its column space), and the solution count is
-    2**(betti1 + alpha).  Python caps ``len()`` at ``sys.maxsize``.
+    2**(betti1 + alpha).  ``len()`` raises OverflowError past
+    ``sys.maxsize``; indexing, iteration, ``reversed``, truth testing and
+    membership do not.
     """
     return _SpinSpace(p)
 
@@ -259,39 +259,30 @@ def wu_coset_of_difference(
     class met before comes back as the same ``WuCoset`` (``p._wu_cosets``).
     """
     q = p.q
-    n, rows, diagonal = len(q.entries), q._row_tables, q._over_z2[1]
-    # s1, then s2: a carried mask is tested here, over the row tables; any
-    # other argument goes through _characteristic_mask
-    x1 = s1._mask if type(s1) is SpinStructure and len(s1.c) == n else None
-    if x1 is None:
-        x1 = _characteristic_mask(p, s1)
-        if x1 is None:
-            raise _not_characteristic(p, s1)
-    else:
-        acc, y = 0, x1
-        for table in rows:
-            acc ^= table[y & _CHUNK_LOW]
-            y >>= _CHUNK
-        if acc != diagonal:
-            raise _not_characteristic(p, s1)
-    x2 = s2._mask if type(s2) is SpinStructure and len(s2.c) == n else None
-    if x2 is None:
-        x2 = _characteristic_mask(p, s2)
-        if x2 is None:
-            raise _not_characteristic(p, s2)
-    else:
-        acc, y = 0, x2
-        for table in rows:
-            acc ^= table[y & _CHUNK_LOW]
-            y >>= _CHUNK
-        if acc != diagonal:
-            raise _not_characteristic(p, s2)
-    delta = x1 ^ x2
-    alpha, tables = p._gamma2_tables
-    coords = 0
+    n, diagonal = len(q.entries), q._over_z2[1]
+    alpha, tables = p._wu_tables
+    # s1, then s2: each mask, carried or read by _argument_mask, is walked
+    # once over the Wu tables and must give q c = diag q above bit alpha
+    x = s1._mask if type(s1) is SpinStructure and len(s1.c) == n else None
+    if x is None:
+        x = _argument_mask(p, s1)
+    y1 = 0
     for table in tables:
-        coords ^= table[delta & _CHUNK_LOW]
-        delta >>= _CHUNK
+        y1 ^= table[x & _CHUNK_LOW]
+        x >>= _CHUNK
+    if y1 >> alpha != diagonal:
+        raise _not_characteristic(p, s1)
+    x = s2._mask if type(s2) is SpinStructure and len(s2.c) == n else None
+    if x is None:
+        x = _argument_mask(p, s2)
+    y2 = 0
+    for table in tables:
+        y2 ^= table[x & _CHUNK_LOW]
+        x >>= _CHUNK
+    if y2 >> alpha != diagonal:
+        raise _not_characteristic(p, s2)
+    # both upper parts are the diagonal, so they cancel
+    coords = y1 ^ y2
     memo = p._wu_cosets
     coset = memo.get(coords)
     if coset is None:

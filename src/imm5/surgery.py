@@ -26,10 +26,13 @@ per even torsion factor.
   u^{-1} e_i reduced mod 2.  For alpha >= 2 the coordinates depend on
   that basis, and files key ``spin_boundary_signatures`` by them.
 
-The Gamma2 coordinates of a class in H^1(M; Z2) are read off XOR tables
-of the generator columns, built on first use
-(``SurgeryPresentation._gamma2_tables``), and the Wu cosets built from
-them are kept up to a cap (``SurgeryPresentation._wu_cosets``).
+One set of XOR tables, built on first use, stacks the two linear maps
+the Wu map needs on a mask x over the link components: the Gamma2
+coordinates of x in the low alpha bits, q x mod 2 above them
+(``SurgeryPresentation._wu_tables``).  One walk of x both tests it
+against diag q and reads its coordinates.  The Wu cosets built from
+those coordinates are kept up to a cap
+(``SurgeryPresentation._wu_cosets``).
 """
 
 from __future__ import annotations
@@ -77,22 +80,21 @@ class SurgeryPresentation:
         return self._h1[1]
 
     @cached_property
-    def _gamma2_tables(self) -> tuple[int, tuple[list[int], ...]]:
-        """(alpha, ``_xor_tables`` of the columns of the Gamma2 generators,
-        _CHUNK to a table): column j has bit i set when g_i has bit j set,
-        so the XOR of the columns at the set bits of a class delta in
-        H^1(M; Z2) holds its coordinate delta(g_i) at bit i.  The columns
-        stop with the table that holds the last nonzero one, so alpha = 0
-        has no tables."""
+    def _wu_tables(self) -> tuple[int, tuple[list[int], ...]]:
+        """(alpha, ``_xor_tables`` of v_0 .. v_{n-1}, _CHUNK to a table).
+        v_j holds bit i when g_i has bit j, and row j of q mod 2 shifted up
+        by alpha.  q is symmetric, so the XOR of the v_j at the set bits of
+        a mask x is y = (the Gamma2 coordinates of x) | (q x mod 2) << alpha:
+        x is characteristic when y >> alpha is diag q mod 2, and coordinate
+        i of a class delta in H^1(M; Z2) is bit i of its y."""
         gens = self.gamma2_generators
-        span = -(-max(map(int.bit_length, gens), default=0) // _CHUNK) * _CHUNK
-        columns = [0] * span
+        vectors = [row << len(gens) for row in self.q._over_z2[0]]
         for i, g in enumerate(gens):
             while g:
                 low = g & -g
-                columns[low.bit_length() - 1] |= 1 << i
+                vectors[low.bit_length() - 1] |= 1 << i
                 g ^= low
-        return len(gens), _xor_tables(columns, _CHUNK)
+        return len(gens), _xor_tables(vectors, _CHUNK)
 
     @cached_property
     def _wu_cosets(self) -> dict:

@@ -11,9 +11,8 @@ checked against the former numpy ``uint8`` routine, kept here verbatim;
 those tests skip when numpy is absent.
 The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration
 and its indexed ``mask``, the lazy ``spin_structures`` sequence against
-the list it replaced, the characteristic test on the cached q mod 2, and
-the Wu map on XORed masks) is checked against the former tuple routines,
-kept here verbatim.
+the list it replaced, and the Wu map and its verdict on one argument)
+is checked against the former tuple routines, kept here verbatim.
 
 Four seeded families of 2,500 matrices each cover general, singular,
 zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
@@ -35,12 +34,16 @@ five families: random symmetric, plumbing trees, singular, alpha >= 2
 block sums, and diagonals sharing odd primes, whose factors modulo the
 determinant leave a non-unit block.
 
-The characteristic test and the Wu coordinates by table lookups (a tuple
-read as binary digits at C speed, XOR tables of the rows of q mod 2 and of
-the Gamma2 generator columns) are checked against the per-entry loops
-they replaced, kept here verbatim, on 10,400 probes at n = 0, 1, 4, 8, 9,
-16, 17 and 199, with entries past one byte, negative, ``bool``, ``float``
-and ``str``.
+The Wu map by table lookups (a tuple read as binary digits at C speed,
+one walk per argument over XOR tables of the stacked map) is checked
+against the per-entry loops it replaced, kept here verbatim, on 10,400
+probes at n = 0, 1, 4, 8, 9, 16, 17 and 199, with entries past one byte,
+negative, ``bool``, ``float`` and ``str``.  Where a former test checked
+the former characteristic test, it now checks the Wu map's verdict on the
+same probe (``wu_verdict``): the probe in both argument positions, and
+the mask it carries afterwards.  The former references read the tables
+of the rows of q mod 2 and of the generator columns from test-local
+builders with their former construction.
 
 The spin structures that ``spin_structures`` builds carry their mask, a
 ``SpinStructure`` built with c a tuple stores it on first use, and each
@@ -64,6 +67,14 @@ here verbatim, on 3,500 probes each, malformed keys and signature lists
 among them.  The GF(2) elimination keyed by lowest set bit is checked
 against the column scan it replaced, kept here verbatim, on 10,000
 systems.
+
+One walk over ``SurgeryPresentation._wu_tables`` is checked against an
+independent computation of the Gamma2 coordinates and q x mod 2 (row
+parities of the entries, popcount parities against the generators) at
+n = 0, 1, 4, 5, 16, 17 and 199 with alpha from 0 to 12.
+``Mod2Solution.index``, which picks the digits of k out of a formatted
+mask, is checked against the loop it replaced, kept here verbatim, on
+1,500 systems with 0, 1 and up to 70 free columns.
 """
 
 import copy
@@ -76,6 +87,7 @@ import sys
 import types
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from operator import index, mul
 
@@ -104,6 +116,7 @@ from imm5.intlinalg import (
     _signature_det,
     _smith_reduce,
     _xor_lookup,
+    _xor_tables,
     det_int,
     signature,
     smith_mod2,
@@ -117,7 +130,6 @@ from imm5.spin import (
     WuCoset,
     _SpinSpace,
     _bits,
-    _characteristic_mask,
     _parity_mask,
     spin_structures,
     wu_coset_of_difference,
@@ -694,8 +706,8 @@ def test_spin_predicate_and_wu_match_tuple_reference():
         spins = spin_structures(p)
         for _ in range(10):
             s1, s2 = spin_probe(rng, p, spins), spin_probe(rng, p, spins)
-            ok = _characteristic_mask(p, s1) is not None
-            assert ok == sum_is_characteristic(p, s1), (p.q, s1)
+            ok = sum_is_characteristic(p, s1)
+            assert wu_verdict(p, s1, spins[0]) == (_mask(s1.c) if ok else None), (p.q, s1)
             noncharacteristic += not ok
             bits = [SpinStructure(tuple(x & 1 for x in s.c)) for s in (s1, s2)]
             nonbit += bits != [s1, s2]
@@ -995,9 +1007,31 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def wu_verdict(p: SurgeryPresentation, s, spin: SpinStructure):
+    """The Wu map's verdict on the probe s, in the form of the former
+    ``_characteristic_mask``'s outcome.  s goes into both argument
+    positions against ``spin``, a spin structure of p, and both must
+    agree: None when both raise InvalidSpinStructure, the type and
+    message of any other exception both raise, else the mask s carries
+    afterwards.  That must be stored when s is a ``SpinStructure`` whose
+    c is a tuple; any other s stores none, and its mask is read off c
+    here."""
+    first = outcome(wu_coset_of_difference, p, s, spin)
+    second = outcome(wu_coset_of_difference, p, spin, s)
+    if not isinstance(first, WuCoset):
+        assert second == first, (s, first, second)
+        return None if first[0] is InvalidSpinStructure else first
+    assert isinstance(second, WuCoset) and second.value == first.value, s
+    if type(s) is SpinStructure and type(s.c) is tuple:
+        return vars(s).get("_mask")
+    assert "_mask" not in vars(s), s
+    return _mask(s.c)
+
+
 def test_table_lookups_match_loop_reference():
-    """``_characteristic_mask`` and ``wu_coset_of_difference`` against the
-    loops they replaced: the same mask or None, the same Wu coset, and the
+    """The Wu map's verdict on a probe (``wu_verdict``) and
+    ``wu_coset_of_difference`` against the former characteristic test and
+    Wu map: the same mask or None, the same Wu coset, and the
     same exception (type and message) for entries that are not integers,
     over n from 0 to 199 with entries past one byte, negative, ``bool``,
     ``float`` and ``str``, and vectors held in a list."""
@@ -1015,7 +1049,7 @@ def test_table_lookups_match_loop_reference():
             s2 = fast_path_probe(rng, p, spins, kinds) if rng.random() < 0.3 else \
                 any_spin(rng, p, spins)
             want = outcome(loop_characteristic_mask, p, s1)
-            assert outcome(_characteristic_mask, p, s1) == want, (p.q, s1)
+            assert wu_verdict(p, s1, spins[0]) == want, (p.q, s1)
             results["raised" if isinstance(want, tuple) else
                     "none" if want is None else "mask"] += 1
             want = outcome(loop_wu_coset_of_difference, p, s1, s2)
@@ -1038,6 +1072,45 @@ CARRIED_SIZES = (0, 1, 4, 8, 9, 16, 17, 64)
 CARRIED_PROBES = 1300  # per size
 
 
+# id(object) -> (object, tables): each builder below runs once per object,
+# as the cached property it stands for did; the object is kept, so its id
+# is not reused
+_BUILT_TABLES: dict[tuple[str, int], tuple[object, tuple]] = {}
+
+
+def _built_once(kind: str, obj, build):
+    key = (kind, id(obj))
+    if key not in _BUILT_TABLES:
+        _BUILT_TABLES[key] = obj, build(obj)
+    return _BUILT_TABLES[key][1]
+
+
+def row_tables(q: IntSymMatrix) -> tuple[list[int], ...]:
+    """The former ``IntSymMatrix._row_tables``, verbatim as a builder:
+    ``_xor_tables`` of the rows of q mod 2, _CHUNK to a table."""
+    return _built_once("rows", q, lambda q: _xor_tables(q._over_z2[0], _CHUNK))
+
+
+def build_gamma2_tables(p: SurgeryPresentation) -> tuple[int, tuple[list[int], ...]]:
+    """The former ``SurgeryPresentation._gamma2_tables``, verbatim as a
+    function: (alpha, ``_xor_tables`` of the columns of the Gamma2
+    generators, _CHUNK to a table), the columns stopping with the table
+    that holds the last nonzero one."""
+    gens = p.gamma2_generators
+    span = -(-max(map(int.bit_length, gens), default=0) // _CHUNK) * _CHUNK
+    columns = [0] * span
+    for i, g in enumerate(gens):
+        while g:
+            low = g & -g
+            columns[low.bit_length() - 1] |= 1 << i
+            g ^= low
+    return len(gens), _xor_tables(columns, _CHUNK)
+
+
+def gamma2_tables(p: SurgeryPresentation) -> tuple[int, tuple[list[int], ...]]:
+    return _built_once("gamma2", p, build_gamma2_tables)
+
+
 def uncached_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
     """The former ``_characteristic_mask``, verbatim."""
     c, q = s.c, p.q
@@ -1054,7 +1127,7 @@ def uncached_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> in
         for j, bit in enumerate(c):
             if bit & 1:
                 x |= 1 << j
-    return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
+    return x if _xor_lookup(row_tables(q), x, _CHUNK) == q._over_z2[1] else None
 
 
 class UncachedSpinSpace(_SpinSpace):
@@ -1087,7 +1160,7 @@ def unmemoized_wu_coset_of_difference(
                 f"for {_QUOTE.repr(p.name)}"
             )
         delta ^= x
-    alpha, tables = p._gamma2_tables
+    alpha, tables = gamma2_tables(p)
     return WuCoset(Gamma2Element(_bits(_xor_lookup(tables, delta, _CHUNK), alpha)))
 
 
@@ -1131,7 +1204,7 @@ def carried_probe(rng, kind, own, foreign):
         if rng.random() < 0.5:
             s = any_spin(rng, spins._p, spins)
         else:
-            _characteristic_mask(foreign[1]._p, s)
+            outcome(wu_coset_of_difference, foreign[1]._p, s, s)
         s = (copy.copy(s) if kind == "copy" else
              pickle.loads(pickle.dumps(s)) if kind == "pickle" else
              dataclasses.replace(s))
@@ -1139,8 +1212,9 @@ def carried_probe(rng, kind, own, foreign):
 
 
 def test_carried_masks_and_memo_match_uncached_reference():
-    """``_characteristic_mask``, ``spins[k]`` and ``wu_coset_of_difference``
-    against the former routines: the same element, the same mask or None,
+    """The Wu map's verdict on a probe (``wu_verdict``), ``spins[k]`` and
+    ``wu_coset_of_difference`` against the former routines: the same
+    element, the same mask or None,
     and the same coset value or the same exception (type and message), on
     the first call with a vector and again once it carries a mask.  Probes
     include spin structures of another presentation of the same n,
@@ -1171,7 +1245,7 @@ def test_carried_masks_and_memo_match_uncached_reference():
                     new1.c[rng.randrange(len(new1.c))] += 1
                 want_mask = outcome(uncached_characteristic_mask, p, old1)
                 want = outcome(unmemoized_wu_coset_of_difference, p, old1, old2)
-                assert outcome(_characteristic_mask, p, new1) == want_mask, (p.q, new1)
+                assert wu_verdict(p, new1, own[1][k]) == want_mask, (p.q, new1)
                 assert outcome(wu_coset_of_difference, p, new1, new2) == want, \
                     (p.q, new1, new2)
             kinds[kind] += 1
@@ -1316,7 +1390,7 @@ def lookup_call_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) ->
         x = s._mask
         if x is None:
             x = s.__dict__["_mask"] = _parity_mask(c)
-    return x if _xor_lookup(q._row_tables, x, _CHUNK) == q._over_z2[1] else None
+    return x if _xor_lookup(row_tables(q), x, _CHUNK) == q._over_z2[1] else None
 
 
 class FrozenInitSpinSpace(_SpinSpace):
@@ -1367,7 +1441,7 @@ def lookup_call_wu_coset_of_difference(
                 f"for {_QUOTE.repr(p.name)}"
             )
         delta ^= x
-    alpha, tables = p._gamma2_tables
+    alpha, tables = gamma2_tables(p)
     coords = _xor_lookup(tables, delta, _CHUNK)
     memo = p._wu_cosets
     coset = memo.get(coords)
@@ -1800,3 +1874,139 @@ def test_coset_parsing_and_offsets_match_string_pass_reference():
         "coords ok", "coords ParseError", "parse ok", "parse merged", "parse ParseError",
         "parse ParityViolation", "gamma2 ok", "gamma2 ValueError", "gamma2 TypeError",
         "offsets ok", "offsets CosetUncovered", "offsets ParityViolation"}, results
+
+
+# ----------------------------------------------------------------------
+# One table set for the Wu map, against an independent computation, and
+# Mod2Solution.index at C speed against the loop it replaced
+# ----------------------------------------------------------------------
+
+WU_TABLE_SIZES = (0, 1, 4, 5, 16, 17, 199)
+
+
+def alpha_matrix(rng: random.Random, n: int, alpha: int) -> list[list[int]]:
+    """A diagonal with alpha even nonzero entries, odd entries (0 too, now
+    and then) elsewhere, moved by elementary congruences: H1 has alpha
+    even torsion factors."""
+    odd = (1, -1, 3, -3) if rng.random() < 0.5 else (1, -1, 3, 0)
+    diag = [rng.choice((2, -2, 4, 6, -4, 8)) for _ in range(alpha)]
+    diag += [rng.choice(odd) for _ in range(n - alpha)]
+    rng.shuffle(diag)
+    q = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(min(2 * n, 120) if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        for row in q:
+            row[i] += c * row[j]
+        q[i] = [a + c * b for a, b in zip(q[i], q[j])]
+    return q
+
+
+def stacked_reference(p: SurgeryPresentation, x: int) -> int:
+    """(Gamma2 coordinates of x) | (q x mod 2) << alpha, computed apart from
+    any table: row i of q x mod 2 is the parity of the entries of row i of
+    q at the set bits of x, coordinate i the parity of x & g_i."""
+    bits = [(x >> j) & 1 for j in range(p.n)]
+    qx = sum((sum(itertools.compress(row, bits)) & 1) << i for i, row in enumerate(p.q.entries))
+    gens = p.gamma2_generators
+    coords = sum(((x & g).bit_count() & 1) << i for i, g in enumerate(gens))
+    return coords | qx << len(gens)
+
+
+def test_wu_tables_match_independent_stacked_map():
+    """One walk of a mask over ``SurgeryPresentation._wu_tables`` gives the
+    Gamma2 coordinates below bit alpha and q x mod 2 above it, on both H1
+    routes, at n = 0, 1, 4, 5, 16, 17 and 199 with alpha from 0 to 12:
+    for 0, every single bit, all ones, spin structures and random masks.
+    A spin structure's upper part is diag q mod 2."""
+    rng = random.Random("wu-tables")
+    alphas, routes = Counter(), Counter()
+    walks = 0
+    for n in WU_TABLE_SIZES:
+        for alpha in ((0, 1, 2, 12) if n == 199 else range(min(n, 12) + 1)):
+            for _ in range(1 if n == 199 else 3):
+                p = SurgeryPresentation("d", IntSymMatrix(alpha_matrix(rng, n, alpha)))
+                h = homology_profile(p)
+                got_alpha, tables = p._wu_tables
+                assert got_alpha == h.alpha == alpha, p.q
+                spins = spin_structures(p)
+                diagonal = _mask(p.q.diagonal())
+                probes = [0, (1 << n) - 1] + [1 << j for j in range(min(n, 24))]
+                probes += [rng.getrandbits(n) if n else 0 for _ in range(10)]
+                for x in probes + [any_spin(rng, p, spins)._mask for _ in range(10)]:
+                    y = _xor_lookup(tables, x, _CHUNK)
+                    assert y == stacked_reference(p, x), (p.q, x)
+                    walks += 1
+                for _ in range(10):
+                    assert _xor_lookup(tables, any_spin(rng, p, spins)._mask,
+                                       _CHUNK) >> alpha == diagonal, p.q
+                alphas[alpha] += 1
+                routes["smith" if h.alpha >= 2 or h.betti1 else "mod det"] += 1
+    assert set(alphas) == set(range(13)) and min(routes.values()) >= 15, (alphas, routes)
+    assert walks >= 4000
+
+
+class LoopIndexMod2Solution(Mod2Solution):
+    """``Mod2Solution`` with the former ``_free_columns`` and ``index``,
+    verbatim."""
+
+    @cached_property
+    def _free_columns(self) -> tuple[int, ...]:
+        """The free column of each kernel vector, its top bit, in kernel
+        order (``index``)."""
+        return tuple(_mask(vec).bit_length() - 1 for vec in self.kernel)
+
+    def index(self, x: int) -> int:
+        """The k with ``mask(k) == x``, for a solution x of a Gauss-Jordan
+        pass: each kernel vector there has its free column as its top bit,
+        which no other kernel vector sets, so the bits of k are those
+        columns' bits of x XOR the particular solution."""
+        x ^= self._tables[0]
+        k = 0
+        for f in self._free_columns:
+            k = (k << 1) | ((x >> f) & 1)
+        return k
+
+
+INDEX_SYSTEMS = 1500
+
+
+def test_index_digits_match_loop_reference():
+    """``Mod2Solution.index``, which picks k's digits out of a formatted
+    mask, against the loop it replaced, on 1,500 seeded systems with
+    kernels of dimension 0, 1 and up to 70: symmetric q c = diag q and
+    rectangular systems.  Probes are 0, every solution read back, and
+    masks with pivot bits set at random, which are no solution; x is a
+    solution exactly when ``mask(index(x)) == x``."""
+    rng = random.Random("index-digits")
+    dims, results = Counter(), Counter()
+    for k in range(INDEX_SYSTEMS):
+        if k % 3:
+            n = 70 if k % 50 == 1 else rng.randint(0, 20)
+            # a full rank (no kernel), one short of it, or any rank; n = 70
+            # keeps at least 60 free columns
+            rank = (rng.randint(0, 10) if n == 70 else n if k % 7 == 0 else
+                    max(n - 1, 0) if k % 7 == 1 else rng.randint(0, n))
+            sol = IntSymMatrix(low_rank_mod2(rng, n, rank))._over_z2[2]
+        else:
+            n = rng.randint(0, 20)
+            m = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(0, 20))]
+            x = [rng.randint(0, 1) for _ in range(n)]
+            sol = solve_mod2(m, [sum(map(mul, row, x)) for row in m])
+        old = LoopIndexMod2Solution(sol.particular, sol.kernel)
+        listed = set(map(sol.mask, range(sol.count))) if sol.count <= 64 else None
+        solutions = [rng.randrange(sol.count) for _ in range(8)]
+        probes = [0, (1 << n) - 1] + [sol.mask(i) for i in solutions]
+        probes += [rng.getrandbits(n) if n else 0 for _ in range(8)]
+        for x in probes:
+            got = sol.index(x)
+            assert got == old.index(x), (sol, x)
+            member = sol.mask(got) == x
+            assert listed is None or member == (x in listed), (sol, x)
+            results["member" if member else "other"] += 1
+        assert [sol.index(sol.mask(i)) for i in solutions] == solutions
+        dims[min(len(sol.kernel), 8)] += 1
+        dims["60+"] += len(sol.kernel) >= 60
+    assert set(dims) == {*range(9), "60+"}, dims
+    assert min(dims[0], dims[1], dims[8]) >= 100 and dims["60+"] >= 20, dims
+    assert min(results.values()) >= 5000, results

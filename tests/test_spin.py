@@ -14,7 +14,6 @@ from imm5.intlinalg import IntSymMatrix
 from imm5.spin import (
     _WU_COSET_CAP,
     SpinStructure,
-    _characteristic_mask,
     spin_structures,
     wu_coset_of_difference,
 )
@@ -23,6 +22,16 @@ from imm5.surgery import SurgeryPresentation, homology_profile
 
 def _pres(rows, name="m"):
     return SurgeryPresentation(name, IntSymMatrix(rows))
+
+
+def _wu_accepts(p, s) -> bool:
+    """The Wu map's verdict on s: it maps s against an element of p in
+    both argument positions, raising if s is not characteristic, and s
+    then carries the mask of c."""
+    base = spin_structures(p)[0]
+    wu_coset_of_difference(p, s, base)
+    wu_coset_of_difference(p, base, s)
+    return vars(s).get("_mask") == sum(1 << j for j, b in enumerate(s.c) if b & 1)
 
 
 class TestEnumeration:
@@ -55,6 +64,10 @@ class TestEnumeration:
         assert p.q._over_z2[2].count == 2 ** 70
         with pytest.raises(IndexError):
             spins[2 ** 70]
+        # truth testing and reversed() go without len(), which overflows
+        assert spins and next(reversed(spins)) == last
+        with pytest.raises(OverflowError):
+            len(spins)
 
     def test_every_solution_is_characteristic(self):
         rng = random.Random(4)
@@ -66,7 +79,7 @@ class TestEnumeration:
                     rows[i][j] = rows[j][i] = rng.randint(-4, 4)
             p = _pres(rows)
             sols = spin_structures(p)
-            assert all(_characteristic_mask(p, s) is not None for s in sols)
+            assert all(_wu_accepts(p, s) for s in sols)
             h = homology_profile(p)
             assert len(sols) == 2 ** (h.betti1 + h.alpha)
             assert len(set(sols)) == len(sols)
@@ -123,6 +136,7 @@ class TestMembership:
                     rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, 3))
             spins = spin_structures(_pres(rows))
             listed = list(spins)
+            assert spins and list(reversed(spins)) == listed[::-1]
             for s in _membership_probes(rng, n, listed):
                 assert (s in spins) == (s in listed), (rows, s)
                 assert spins.count(s) == listed.count(s), (rows, s)
@@ -257,7 +271,7 @@ class TestWuCoset:
             mixed = SpinStructure(
                 tuple(a ^ b ^ c for a, b, c in zip(s1.c, s2.c, base.c))
             )
-            assert _characteristic_mask(p, mixed) is not None
+            assert _wu_accepts(p, mixed)
             lhs = wu_coset_of_difference(p, mixed, base).value
             rhs = (wu_coset_of_difference(p, s1, base).value
                    + wu_coset_of_difference(p, s2, base).value)
