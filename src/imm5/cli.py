@@ -16,6 +16,13 @@ within the file.
 Integers may be written as decimal strings of any length and stay
 exact; those larger than 53 bits are written back as decimal strings.
 
+Each subcommand loads only the ``imm5`` modules it calls.  ``analyze``
+and ``embeddings`` load ``errors``, ``fixtures``, ``intlinalg``,
+``surgery`` and ``embeddings``.  ``act``, ``invariant`` and ``verify``
+with a record file also load ``invariants``, which the functions using
+it import when they run; ``verify --corollaries`` and ``--oracles`` load
+``invariants`` and ``verify``.  No subcommand loads ``spin``.
+
 Exit codes: 0 all checks pass, 1 an identity fails, 2 malformed input
 (one ``ParseError: ...`` line on stderr, nothing on stdout) or a report
 that cannot be written to stdout (one ``Imm5Error: ...`` line).
@@ -29,7 +36,9 @@ import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .embeddings import (
     SpinBoundarySignatures,
@@ -46,24 +55,6 @@ from .errors import (
 )
 from .fixtures import manifold_json
 from .intlinalg import IntSymMatrix
-from .invariants import (
-    ClosedMapRecordR5,
-    ClosedMapRecordR6,
-    ImmersionDoubleData,
-    PartitionRecord,
-    RegHomotopyClass,
-    SeifertFillingR5,
-    SeifertFillingR6,
-    SmaleClass,
-    check_closed_r5,
-    check_closed_r6,
-    check_cusp_residue,
-    check_partition_divisibility,
-    check_spin_even_components,
-    connected_sum_act,
-    i_a,
-    i_b,
-)
 from .surgery import (
     Gamma2Element,
     HomologyProfile,
@@ -71,6 +62,12 @@ from .surgery import (
     gamma2_elements,
     homology_profile,
 )
+
+if TYPE_CHECKING:  # annotations only; the functions that run them import them
+    from .invariants import (
+        ClosedMapRecordR5, ClosedMapRecordR6, ImmersionDoubleData,
+        PartitionRecord, SeifertFillingR5, SeifertFillingR6,
+    )
 
 SEED_ENV = "IMM5_SEED"
 INT_STRING_BOUND = 2 ** 53
@@ -313,18 +310,36 @@ class SeifertData:
     partition_records: list[tuple[str, PartitionRecord]]
 
 
-# Record-file key -> (id prefix of an unnamed record, record type); the file
-# key is also the SeifertData field holding that kind's (id, record) pairs.
-RECORD_KINDS = {
-    "fillings_r5": ("r5", SeifertFillingR5),
-    "fillings_r6": ("r6", SeifertFillingR6),
-    "closed_records_r5": ("closed_r5", ClosedMapRecordR5),
-    "closed_records_r6": ("closed_r6", ClosedMapRecordR6),
-    "partition_records": ("partition", PartitionRecord),
-}
+@cache
+def _record_kinds() -> dict:
+    """Record-file key -> (id prefix of an unnamed record, record type); the
+    file key is also the SeifertData field holding that kind's (id, record)
+    pairs.  Built on first use, so that only the commands reading a record
+    file load the record types; ``RECORD_KINDS`` names it."""
+    from .invariants import (
+        ClosedMapRecordR5, ClosedMapRecordR6, PartitionRecord,
+        SeifertFillingR5, SeifertFillingR6,
+    )
+    return {
+        "fillings_r5": ("r5", SeifertFillingR5),
+        "fillings_r6": ("r6", SeifertFillingR6),
+        "closed_records_r5": ("closed_r5", ClosedMapRecordR5),
+        "closed_records_r6": ("closed_r6", ClosedMapRecordR6),
+        "partition_records": ("partition", PartitionRecord),
+    }
+
+
+def __getattr__(name: str):
+    """``RECORD_KINDS``, the table of ``_record_kinds``; any other name this
+    module does not bind is an AttributeError, as without this hook."""
+    if name == "RECORD_KINDS":
+        return _record_kinds()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
+    from .invariants import ImmersionDoubleData
+
     if not isinstance(data, dict):
         raise ParseError("record file must hold a JSON object")
 
@@ -334,7 +349,7 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
 
     records = {}
     seen = set()  # record names, explicit or positional, unique per file
-    for key, (prefix, cls) in RECORD_KINDS.items():
+    for key, (prefix, cls) in _record_kinds().items():
         objs = data.get(key, [])
         if not isinstance(objs, list):
             raise ParseError(
@@ -423,6 +438,8 @@ def _filling_values(sd: SeifertData, want_ia: bool,
     """The invariant i of every filling, as (route, record id, value) in
     file order: i_a of the 5-space fillings, then i_b of the 6-space ones.
     A ParityError names the record that raised it."""
+    from .invariants import i_a, i_b
+
     h = sd.manifold.profile
     values = []
     try:
@@ -438,6 +455,8 @@ def _filling_values(sd: SeifertData, want_ia: bool,
 
 
 def invariant_report(sd: SeifertData, want_ia: bool, want_ib: bool) -> dict:
+    from .invariants import check_cusp_residue
+
     if sd.manifold is None:
         raise ParseError("record file needs a 'manifold' reference")
     if want_ia and not sd.fillings_r5:
@@ -490,6 +509,8 @@ def render_invariant(rep: dict) -> str:
 
 
 def act_report(m: ManifoldData, wu: Gamma2Element, i: int, omega: int) -> dict:
+    from .invariants import RegHomotopyClass, SmaleClass, connected_sum_act
+
     start = RegHomotopyClass(wu, i)
     result = connected_sum_act(start, SmaleClass(omega))
     verdict = None
@@ -548,6 +569,11 @@ def render_embeddings(rep: dict) -> str:
 
 
 def verify_file_report(sd: SeifertData) -> dict:
+    from .invariants import (
+        check_closed_r5, check_closed_r6, check_cusp_residue,
+        check_partition_divisibility, check_spin_even_components,
+    )
+
     checks = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:

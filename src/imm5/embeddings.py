@@ -10,11 +10,13 @@ defined mod 24: shifting a base signature by 16 shifts i by 24.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import _QUOTE, CosetUncovered, HypothesisViolated, ParityViolation
-from .invariants import RegHomotopyClass
 from .surgery import Gamma2Element, HomologyProfile, gamma2_elements
+
+if TYPE_CHECKING:  # an annotation only, so analyze and embeddings skip invariants
+    from .invariants import RegHomotopyClass
 
 
 @dataclass(frozen=True)

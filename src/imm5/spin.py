@@ -202,11 +202,12 @@ class _SpinSpace(Sequence):
         d["_mask"] = x
         return s
 
-    def _member_mask(self, s) -> int | None:
-        """The mask of s if s equals an element, else None.  Equality is
-        the one a list of the elements applies: a ``SpinStructure`` whose c
-        is a tuple of n entries, each equal to 0 or 1.  The entries equal
-        to 1 are found, and the rest counted as equal to 0, at C speed."""
+    def _position(self, s) -> int | None:
+        """The k with ``self[k] == s``, else None.  Equality is the one a
+        list of the elements applies: a ``SpinStructure`` whose c is a tuple
+        of n entries, each equal to 0 or 1.  The entries equal to 1 are
+        found, and the rest counted as equal to 0, at C speed; the position
+        of their mask is read once."""
         if type(s) is not SpinStructure or not isinstance(s.c, tuple):
             return None
         c = s.c
@@ -215,21 +216,20 @@ class _SpinSpace(Sequence):
             return None
         x = int(ones.translate(_PARITY_DIGITS)[::-1] or b"0", 2)
         sol = self._sol
-        return x if sol.mask(sol.index(x)) == x else None
+        k = sol.index(x)
+        return k if sol.mask(k) == x else None
 
     def __contains__(self, s) -> bool:
-        return self._member_mask(s) is not None
+        return self._position(s) is not None
 
     def count(self, s) -> int:
         return int(s in self)
 
     def index(self, s, start=0, stop=None) -> int:
         window = range(*slice(start, stop).indices(self._sol.count))
-        x = self._member_mask(s)
-        if x is not None:
-            k = self._sol.index(x)
-            if k in window:
-                return k
+        k = self._position(s)
+        if k is not None and k in window:
+            return k
         raise ValueError(f"{_QUOTE.repr(s)} is not in the sequence")
 
 

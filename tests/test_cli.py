@@ -664,6 +664,49 @@ def test_commands_without_oracles_leave_verify_unloaded():
                    env=env, check=True)
 
 
+# the modules analyze and embeddings load; act, invariant and verify with a
+# record file may add imm5.invariants
+FIXTURE_MODULES = ["imm5", "imm5.cli", "imm5.embeddings", "imm5.errors",
+                   "imm5.fixtures", "imm5.intlinalg", "imm5.surgery"]
+
+
+def _modules_loaded(argv) -> list[str]:
+    """The imm5 modules a fresh interpreter holds after ``import imm5``
+    (argv None) or after ``main(argv)``, which must exit 0."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is None:\n"
+        "    import imm5\n"
+        "else:\n"
+        "    from imm5.cli import main\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'imm5' or m.startswith('imm5.'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          env=env, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    """``import imm5`` loads no submodule, each subcommand loads the modules
+    its code path calls, and none loads imm5.spin.  Each case runs in a
+    fresh interpreter."""
+    records = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "records.json")
+    assert _modules_loaded(None) == ["imm5"]
+    for argv in (["analyze", "t3"], ["embeddings", "t3"]):
+        assert _modules_loaded(argv) == FIXTURE_MODULES, argv
+    for argv in (["act", "t3", "--wu", "0", "--i", "0", "--omega", "12"],
+                 ["invariant", records], ["verify", records]):
+        loaded = _modules_loaded(argv)
+        assert set(FIXTURE_MODULES) <= set(loaded), argv
+        assert set(loaded) - set(FIXTURE_MODULES) <= {"imm5.invariants"}, argv
+    for argv in (["verify", "--corollaries"], ["verify", "--oracles", "--trials", "2"]):
+        assert "imm5.spin" not in _modules_loaded(argv), argv
+
+
 def test_cli_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
     subprocess.run(

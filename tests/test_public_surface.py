@@ -1,14 +1,20 @@
 """The package's public names, listed in order, the oldest Python whose
 syntax its modules keep to, and the names the benchmark's tracer patches.
 
-``imm5.__all__`` is derived from the package's import block, so an
-import added or dropped there changes the public surface; this list
-makes that change visible.
+``imm5.__all__`` is derived from the package's table of public names and
+the submodules defining them, so a name added or dropped there changes the
+public surface; this list makes that change visible.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import imm5
 
@@ -73,6 +79,36 @@ def test_public_names_in_order():
 
 def test_every_public_name_resolves():
     assert all(hasattr(imm5, name) for name in imm5.__all__)
+
+
+def test_lazy_exports_resolve_on_first_use():
+    """``import imm5`` binds each public name on first use.  In a fresh
+    interpreter, where no submodule is loaded yet, ``from imm5 import *``
+    binds all of them, ``dir(imm5)`` lists them, and ``from imm5 import
+    <submodule>`` still imports the submodule.  Each name is the object its
+    defining module binds under that name."""
+    script = (
+        "import json, sys\n"
+        "import imm5\n"
+        "names = dir(imm5)\n"
+        "from imm5 import intlinalg, surgery\n"
+        "star = {}\n"
+        "exec('from imm5 import *', star)\n"
+        "print(json.dumps([names, sorted(set(star) - {'__builtins__'}),\n"
+        "                  [intlinalg.__name__, surgery.__name__]]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    names, star, submodules = json.loads(proc.stdout)
+    assert set(PUBLIC) <= set(names)
+    assert star == PUBLIC
+    assert submodules == ["imm5.intlinalg", "imm5.surgery"]
+    for name in PUBLIC:
+        obj = getattr(imm5, name)
+        assert obj.__module__.startswith("imm5."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    with pytest.raises(AttributeError, match="module 'imm5' has no attribute 'nosuch'"):
+        imm5.nosuch
 
 
 def test_modules_parse_at_the_syntax_floor():
