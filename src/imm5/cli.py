@@ -5,9 +5,9 @@ Subcommands: ``analyze``, ``invariant``, ``act``, ``embeddings`` and
 holding a linking matrix and, optionally, base signatures of spin
 fillings per Wu coset; Seifert bookkeeping enters as JSON record files.
 
-A record file holds one list per record kind (``RECORD_KINDS``) and an
-optional ``double_data`` object.  ``_record`` reads each record from the
-fields of its dataclass: a field without a default is required, an
+A record file holds one list per record kind (``invariants.RECORD_KINDS``)
+and an optional ``double_data`` object.  ``_record`` reads each record
+from the fields of its dataclass: a field without a default is required, an
 absent one takes its default, and a present value goes through the
 reader for the field's declared type.  Errors name ``<id>.<field>``,
 non-printable characters of the id escaped.
@@ -36,7 +36,6 @@ import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields
-from functools import cache
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -310,35 +309,8 @@ class SeifertData:
     partition_records: list[tuple[str, PartitionRecord]]
 
 
-@cache
-def _record_kinds() -> dict:
-    """Record-file key -> (id prefix of an unnamed record, record type); the
-    file key is also the SeifertData field holding that kind's (id, record)
-    pairs.  Built on first use, so that only the commands reading a record
-    file load the record types; ``RECORD_KINDS`` names it."""
-    from .invariants import (
-        ClosedMapRecordR5, ClosedMapRecordR6, PartitionRecord,
-        SeifertFillingR5, SeifertFillingR6,
-    )
-    return {
-        "fillings_r5": ("r5", SeifertFillingR5),
-        "fillings_r6": ("r6", SeifertFillingR6),
-        "closed_records_r5": ("closed_r5", ClosedMapRecordR5),
-        "closed_records_r6": ("closed_r6", ClosedMapRecordR6),
-        "partition_records": ("partition", PartitionRecord),
-    }
-
-
-def __getattr__(name: str):
-    """``RECORD_KINDS``, the table of ``_record_kinds``; any other name this
-    module does not bind is an AttributeError, as without this hook."""
-    if name == "RECORD_KINDS":
-        return _record_kinds()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
-    from .invariants import ImmersionDoubleData
+    from .invariants import RECORD_KINDS, ImmersionDoubleData
 
     if not isinstance(data, dict):
         raise ParseError("record file must hold a JSON object")
@@ -349,7 +321,7 @@ def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:
 
     records = {}
     seen = set()  # record names, explicit or positional, unique per file
-    for key, (prefix, cls) in _record_kinds().items():
+    for key, (prefix, cls) in RECORD_KINDS.items():
         objs = data.get(key, [])
         if not isinstance(objs, list):
             raise ParseError(

@@ -88,6 +88,17 @@ class PartitionRecord:
     separator_avoids_double_points: bool = False
 
 
+# Record-file key -> (id prefix of an unnamed record, record type); the file
+# key is also the cli.SeifertData field holding that kind's (id, record) pairs.
+RECORD_KINDS = {
+    "fillings_r5": ("r5", SeifertFillingR5),
+    "fillings_r6": ("r6", SeifertFillingR6),
+    "closed_records_r5": ("closed_r5", ClosedMapRecordR5),
+    "closed_records_r6": ("closed_r6", ClosedMapRecordR6),
+    "partition_records": ("partition", PartitionRecord),
+}
+
+
 @dataclass(frozen=True)
 class RegHomotopyClass:
     """The complete classifying pair (wu, i) of an immersion."""

@@ -202,19 +202,27 @@ class _SpinSpace(Sequence):
         d["_mask"] = x
         return s
 
-    def _position(self, s) -> int | None:
-        """The k with ``self[k] == s``, else None.  Equality is the one a
-        list of the elements applies: a ``SpinStructure`` whose c is a tuple
-        of n entries, each equal to 0 or 1.  The entries equal to 1 are
-        found, and the rest counted as equal to 0, at C speed; the position
-        of their mask is read once."""
+    def _member_mask(self, s) -> int | None:
+        """The mask s would have as an element, else None when s cannot
+        equal one; whether the mask solves the equation is ``_position``'s
+        test.  Equality is the one a list of the elements applies: a
+        ``SpinStructure`` whose c is a tuple of n entries, each equal to 0
+        or 1.  The entries equal to 1 are found, and the rest counted as
+        equal to 0, at C speed."""
         if type(s) is not SpinStructure or not isinstance(s.c, tuple):
             return None
         c = s.c
         ones = bytes(map(eq, c, repeat(1)))
         if len(c) != self._n or c.count(0) + ones.count(1) != len(c):
             return None
-        x = int(ones.translate(_PARITY_DIGITS)[::-1] or b"0", 2)
+        return int(ones.translate(_PARITY_DIGITS)[::-1] or b"0", 2)
+
+    def _position(self, s) -> int | None:
+        """The k with ``self[k] == s``, else None.  The position of the
+        mask of s is read once, and the mask at that position must be it."""
+        x = self._member_mask(s)
+        if x is None:
+            return None
         sol = self._sol
         k = sol.index(x)
         return k if sol.mask(k) == x else None

@@ -12,9 +12,9 @@ from dataclasses import MISSING, fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imm5.cli import RECORD_KINDS, main, parse_manifold, parse_seifert_file
+from imm5.cli import main, parse_manifold, parse_seifert_file
 from imm5.errors import Imm5Error
-from imm5.invariants import ImmersionDoubleData
+from imm5.invariants import RECORD_KINDS, ImmersionDoubleData
 
 INTS = st.integers(-40, 40)
 LEAVES = (st.none() | st.booleans() | INTS
