@@ -7,10 +7,10 @@ fillings per Wu coset; Seifert bookkeeping enters as JSON record files.
 
 A record file holds one list per record kind (``invariants.RECORD_KINDS``)
 and an optional ``double_data`` object.  ``_record`` reads each record
-from the fields of its dataclass: a field without a default is required, an
-absent one takes its default, and a present value goes through the
-reader for the field's declared type.  Errors name ``<id>.<field>``,
-non-printable characters of the id escaped.
+from the fields its type declares (``_record_fields``): a field without a
+default is required, an absent one takes its default, and a present value
+goes through the reader for the field's declared type.  Errors name
+``<id>.<field>``, non-printable characters of the id escaped.
 A record's name, its ``id`` or else ``<prefix>[<index>]``, is unique
 within the file.
 Integers may be written as decimal strings of any length and stay
@@ -35,7 +35,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -51,6 +50,7 @@ from .errors import (
     ParityError,
     ParityViolation,
     ParseError,
+    _Value,
 )
 from .fixtures import manifold_json
 from .intlinalg import IntSymMatrix
@@ -158,8 +158,8 @@ def _ints(value, where: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(_int(v, where) for v in value)
 
 
-# The reader for each field type declared on the record dataclasses; only
-# an optional field accepts null.
+# The reader for each field type declared on the record types; only an
+# optional field accepts null.
 _READERS = {
     "int": _int,
     "bool": _bool,
@@ -169,8 +169,16 @@ _READERS = {
 }
 
 
+def _record_fields(cls) -> list[tuple[str, str, bool]]:
+    """(name, declared type, whether required) of each field of the record
+    type cls: its annotations in order, a field required when the class
+    body gives it no default."""
+    return [(name, kind, name not in vars(cls))
+            for name, kind in cls.__annotations__.items()]
+
+
 def _record(obj, rid: str, cls):
-    """The record dataclass cls read from the JSON object obj.
+    """The record of type cls read from the JSON object obj.
 
     A field without a default is required and an absent one takes its
     default; each present value is read by the field's declared type.
@@ -179,11 +187,11 @@ def _record(obj, rid: str, cls):
     if not isinstance(obj, dict):
         raise ParseError(f"{rid}: expected an object, got {_QUOTE.repr(obj)}")
     values = {}
-    for f in fields(cls):
-        if f.name in obj:
-            values[f.name] = _READERS[f.type](obj[f.name], f"{rid}.{f.name}")
-        elif f.default is MISSING:
-            raise ParseError(f"{rid}: missing field '{f.name}'")
+    for name, kind, required in _record_fields(cls):
+        if name in obj:
+            values[name] = _READERS[kind](obj[name], f"{rid}.{name}")
+        elif required:
+            raise ParseError(f"{rid}: missing field '{name}'")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -194,11 +202,13 @@ def _record(obj, rid: str, cls):
 # ManifoldFile
 # ----------------------------------------------------------------------
 
-@dataclass
-class ManifoldData:
+class ManifoldData(_Value, frozen=False):
     presentation: SurgeryPresentation
     profile: HomologyProfile
     signatures: SpinBoundarySignatures | None
+
+    def __init__(self, presentation, profile, signatures) -> None:
+        self._set(presentation, profile, signatures)
 
 
 def parse_wu_coords(text: str, alpha: int) -> Gamma2Element:
@@ -298,8 +308,7 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
 # SeifertDataFile
 # ----------------------------------------------------------------------
 
-@dataclass
-class SeifertData:
+class SeifertData(_Value, frozen=False):
     manifold: ManifoldData | None
     double_data: ImmersionDoubleData | None
     fillings_r5: list[tuple[str, SeifertFillingR5]]
@@ -307,6 +316,11 @@ class SeifertData:
     closed_records_r5: list[tuple[str, ClosedMapRecordR5]]
     closed_records_r6: list[tuple[str, ClosedMapRecordR6]]
     partition_records: list[tuple[str, PartitionRecord]]
+
+    def __init__(self, manifold, double_data, fillings_r5, fillings_r6,
+                 closed_records_r5, closed_records_r6, partition_records) -> None:
+        self._set(manifold, double_data, fillings_r5, fillings_r6,
+                  closed_records_r5, closed_records_r6, partition_records)
 
 
 def parse_seifert_file(data: dict, base_dir: str | None = None) -> SeifertData:

@@ -9,18 +9,16 @@ defined mod 24: shifting a base signature by 16 shifts i by 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import _QUOTE, CosetUncovered, HypothesisViolated, ParityViolation
+from .errors import _QUOTE, CosetUncovered, HypothesisViolated, ParityViolation, _Value
 from .surgery import Gamma2Element, HomologyProfile, gamma2_elements
 
 if TYPE_CHECKING:  # an annotation only, so analyze and embeddings skip invariants
     from .invariants import RegHomotopyClass
 
 
-@dataclass(frozen=True)
-class SpinBoundarySignatures:
+class SpinBoundarySignatures(_Value):
     """Base signatures of spin fillings, keyed by Wu coset.
 
     A coset may carry several base signatures when distinct spin
@@ -30,6 +28,9 @@ class SpinBoundarySignatures:
 
     per_coset: Mapping[Gamma2Element, frozenset[int]]
 
+    def __init__(self, per_coset) -> None:
+        self._set(per_coset)
+
     @classmethod
     def from_dict(
         cls, data: Mapping[Gamma2Element, Iterable[int]]
@@ -37,8 +38,7 @@ class SpinBoundarySignatures:
         return cls({c: frozenset(int(s) for s in sigs) for c, sigs in data.items()})
 
 
-@dataclass(frozen=True)
-class EmbeddingClassSet:
+class EmbeddingClassSet(_Value):
     """Embedding offsets mod 24, per Wu coset.
 
     A class (wu, i) contains an embedding iff i mod 24 lies in the
@@ -46,6 +46,9 @@ class EmbeddingClassSet:
     """
 
     offsets_mod_24: Mapping[Gamma2Element, frozenset[int]]
+
+    def __init__(self, offsets_mod_24) -> None:
+        self._set(offsets_mod_24)
 
 
 def embedding_classes(h: HomologyProfile,

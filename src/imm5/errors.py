@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and how messages quote values."""
+"""Exception types shared across the package, how messages quote values, and
+the base of the package's value types."""
 
 import reprlib
 
@@ -61,3 +62,56 @@ class HypothesisViolated(Imm5Error):
 
 class MissingData(Imm5Error):
     """A validator needs a field the record does not carry."""
+
+
+class _Value:
+    """Base of the package's value types, which behave as frozen dataclasses
+    without the cost of generating their methods at import.
+
+    A subclass declares its fields as annotations, in constructor order,
+    with any default in the class body; they follow the fields of the class
+    it extends.  Its ``__init__`` stores them through ``_set``.  It gets the
+    repr ``Name(field=value, ...)``, ``==`` on the fields within one class
+    (NotImplemented across classes), the hash of the tuple of its fields,
+    and refuses assignment and deletion of attributes.  With
+    ``frozen=False`` instances stay mutable and are unhashable.  Instances
+    keep a ``__dict__``, which ``cached_property`` writes to and pickle and
+    copy restore.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = (*cls._fields, *cls.__annotations__)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _set(self, *values) -> None:
+        """Stores values as the fields, in order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    @reprlib.recursive_repr()
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

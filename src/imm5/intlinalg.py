@@ -27,14 +27,13 @@ arbitrary precision and neither fractions nor floating point are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import _QUOTE, AsymmetricMatrix, NoSolution
+from .errors import _QUOTE, AsymmetricMatrix, NoSolution, _Value
 
 Rows = Sequence[Sequence[int]]
 
@@ -168,8 +167,7 @@ def det_int(a: IntSymMatrix | Rows) -> int:
 # Smith normal form
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Value):
     """Unimodular u, v and diagonal s with u*a*v = s.
 
     ``invariant_factors`` is the diagonal of ``s``: non-negative, each
@@ -181,9 +179,11 @@ class SmithDecomposition:
     s: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
 
+    def __init__(self, u, v, s, invariant_factors) -> None:
+        self._set(u, v, s, invariant_factors)
 
-@dataclass(frozen=True)
-class SmithMod2:
+
+class SmithMod2(_Value):
     """Invariant factors of a and the inverse of the left transform u of
     u*a*v = s, mod 2.
 
@@ -194,6 +194,9 @@ class SmithMod2:
 
     invariant_factors: tuple[int, ...]
     u_inverse_mod2: tuple[int, ...]
+
+    def __init__(self, invariant_factors, u_inverse_mod2) -> None:
+        self._set(invariant_factors, u_inverse_mod2)
 
 
 class _IntRows:
@@ -601,8 +604,7 @@ def _gauss_jordan_mod2(rows: list[int], ncols: int) -> list[int]:
     return [low.bit_length() - 1 for low in order]
 
 
-@dataclass(frozen=True)
-class Mod2Solution:
+class Mod2Solution(_Value):
     """One solution of a Z2 system together with a kernel basis.
 
     The full solution set is ``particular + span(kernel)``; it has
@@ -611,6 +613,9 @@ class Mod2Solution:
 
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
+
+    def __init__(self, particular, kernel) -> None:
+        self._set(particular, kernel)
 
     @cached_property
     def count(self) -> int:

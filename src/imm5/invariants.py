@@ -15,49 +15,54 @@ divisibility facts that follow from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import _QUOTE, HypothesisViolated, MissingData, ParityError, WuMismatch
+from .errors import (
+    _QUOTE, HypothesisViolated, MissingData, ParityError, WuMismatch, _Value,
+)
 from .surgery import Gamma2Element, HomologyProfile
 
 
-def _check_cusp_sum(record) -> None:
-    """The __post_init__ of the cusp-route records: per-component cusp
-    counts, when given, sum to the algebraic total."""
-    if (record.cusps_per_component is not None
-            and sum(record.cusps_per_component) != record.cusps_algebraic):
+def _check_cusp_sum(cusps_algebraic: int,
+                    cusps_per_component: tuple[int, ...] | None) -> None:
+    """The check of the cusp-route records: per-component cusp counts, when
+    given, sum to the algebraic total."""
+    if (cusps_per_component is not None
+            and sum(cusps_per_component) != cusps_algebraic):
         raise ValueError("per-component cusp counts must sum to the total")
 
 
-@dataclass(frozen=True)
-class SeifertFillingR5:
+class SeifertFillingR5(_Value):
     """Signature and algebraic cusp count of a generic 5-space filling."""
 
     sigma: int
     cusps_algebraic: int
     cusps_per_component: tuple[int, ...] | None = None
 
-    __post_init__ = _check_cusp_sum
+    def __init__(self, sigma, cusps_algebraic, cusps_per_component=None) -> None:
+        _check_cusp_sum(cusps_algebraic, cusps_per_component)
+        self._set(sigma, cusps_algebraic, cusps_per_component)
 
 
-@dataclass(frozen=True)
-class SeifertFillingR6:
+class SeifertFillingR6(_Value):
     """Signature, triple points and singular linking of an upper 6-space filling."""
 
     sigma: int
     triple_points: int
     singular_linking: int
 
+    def __init__(self, sigma, triple_points, singular_linking) -> None:
+        self._set(sigma, triple_points, singular_linking)
 
-@dataclass(frozen=True)
-class ImmersionDoubleData:
+
+class ImmersionDoubleData(_Value):
     """Linking number of the immersed image with its pushed-off double curves."""
 
     big_l: int
 
+    def __init__(self, big_l) -> None:
+        self._set(big_l)
 
-@dataclass(frozen=True)
-class ClosedMapRecordR5:
+
+class ClosedMapRecordR5(_Value):
     """Data of a generic map of a closed oriented 4-manifold to 5-space."""
 
     sigma: int
@@ -65,20 +70,24 @@ class ClosedMapRecordR5:
     cusps_per_component: tuple[int, ...] | None = None
     is_spin: bool = False
 
-    __post_init__ = _check_cusp_sum
+    def __init__(self, sigma, cusps_algebraic, cusps_per_component=None,
+                 is_spin=False) -> None:
+        _check_cusp_sum(cusps_algebraic, cusps_per_component)
+        self._set(sigma, cusps_algebraic, cusps_per_component, is_spin)
 
 
-@dataclass(frozen=True)
-class ClosedMapRecordR6:
+class ClosedMapRecordR6(_Value):
     """Data of a generic map of a closed oriented 4-manifold to 6-space."""
 
     sigma: int
     triple_points: int
     singular_linking: int
 
+    def __init__(self, sigma, triple_points, singular_linking) -> None:
+        self._set(sigma, triple_points, singular_linking)
 
-@dataclass(frozen=True)
-class PartitionRecord:
+
+class PartitionRecord(_Value):
     """Algebraic cusp counts on the two sides of a separating 3-manifold,
     and the preconditions under which both are divisible by 6."""
 
@@ -86,6 +95,11 @@ class PartitionRecord:
     ambient_spin: bool = False
     separator_null_homologous: bool = False
     separator_avoids_double_points: bool = False
+
+    def __init__(self, part_cusps, ambient_spin=False, separator_null_homologous=False,
+                 separator_avoids_double_points=False) -> None:
+        self._set(part_cusps, ambient_spin, separator_null_homologous,
+                  separator_avoids_double_points)
 
 
 # Record-file key -> (id prefix of an unnamed record, record type); the file
@@ -99,19 +113,23 @@ RECORD_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class RegHomotopyClass:
+class RegHomotopyClass(_Value):
     """The complete classifying pair (wu, i) of an immersion."""
 
     wu: Gamma2Element
     i: int
 
+    def __init__(self, wu, i) -> None:
+        self._set(wu, i)
 
-@dataclass(frozen=True)
-class SmaleClass:
+
+class SmaleClass(_Value):
     """A regular homotopy class of sphere immersions in 5-space."""
 
     omega: int
+
+    def __init__(self, omega) -> None:
+        self._set(omega)
 
 
 _NO_FILLING = "no genuine filling yields this data"

@@ -38,18 +38,20 @@ those coordinates are kept up to a cap
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import _Value
 from .intlinalg import _CHUNK, IntSymMatrix, _factors_mod_det, _xor_tables, smith_mod2
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(_Value):
     """A closed oriented 3-manifold given by a framed-link linking matrix."""
 
     name: str
     q: IntSymMatrix
+
+    def __init__(self, name, q) -> None:
+        self._set(name, q)
 
     @property
     def n(self) -> int:
@@ -105,8 +107,7 @@ class SurgeryPresentation:
         return {}
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(_Value):
     """First-homology data of the presented manifold.
 
     betti1           rank of H1(M; Z)
@@ -119,6 +120,9 @@ class HomologyProfile:
 
     betti1: int
     torsion_factors: tuple[int, ...]
+
+    def __init__(self, betti1, torsion_factors) -> None:
+        self._set(betti1, torsion_factors)
 
     @cached_property
     def alpha(self) -> int:
@@ -134,8 +138,7 @@ class HomologyProfile:
         return 2 ** (self.betti1 + self.alpha)
 
 
-@dataclass(frozen=True)
-class Gamma2Element:
+class Gamma2Element(_Value):
     """An element of Gamma2(M) in the fixed Smith-basis coordinates.
 
     Coordinates are one bit per even torsion factor, in Smith order;
@@ -146,13 +149,23 @@ class Gamma2Element:
 
     def __init__(self, coords: tuple[int, ...]) -> None:
         # a tuple of bits passes at C speed; anything else is checked entry
-        # by entry.  The field is then stored as the frozen dataclass
-        # __init__ stores it, without a second call for the check
+        # by entry.  The field is stored directly, without a call to _set
         if (type(coords) is not tuple
                 or coords.count(0) + coords.count(1) != len(coords)):
             if any(b not in (0, 1) for b in coords):
                 raise ValueError("coordinates must be bits")
         object.__setattr__(self, "coords", coords)
+
+    # equality and hash read the one field directly: spin-wide parsing and
+    # embedding_classes key dicts by cosets.  The hash is that of the tuple
+    # of fields, as for every value type
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @classmethod
     def zero(cls, rank: int) -> "Gamma2Element":

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
 from .embeddings import SpinBoundarySignatures, embedding_classes, is_embedding_class
+from .errors import _Value
 from .fixtures import manifold_json, presentation
 from .intlinalg import (
     IntSymMatrix, _factors_mod_det, det_int, signature, smith_normal_form,
@@ -194,11 +194,13 @@ def random_r6_pair(rng: random.Random) -> tuple[SeifertFillingR6, SeifertFilling
 # Oracle sweeps
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Value):
     name: str
     trials: int
     failures: tuple[str, ...]
+
+    def __init__(self, name, trials, failures) -> None:
+        self._set(name, trials, failures)
 
     @property
     def passed(self) -> bool:
@@ -319,11 +321,13 @@ def run_oracles(seed: int = 0, trials: int = 500) -> list[OracleReport]:
 # Built-in reproductions (imm5 verify --corollaries)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Value):
     name: str
     passed: bool
     lines: tuple[str, ...]
+
+    def __init__(self, name, passed, lines) -> None:
+        self._set(name, passed, lines)
 
 
 def _sweep_report(name: str, headline: str, bad: list[str]) -> CheckReport:

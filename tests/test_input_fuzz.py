@@ -1,18 +1,20 @@
 """Fuzz gate for the input layer: arbitrary bounded JSON values fed to the
 parsers and to the CLI.  Only Imm5Error subclasses may leave the parsers,
 and the CLI always exits 0, 1 or 2; on 2 it prints one error line of at
-most 300 characters and no report.
+most 300 characters and no report.  The fields of each record type are
+read as the record reader reads them (``_record_fields``), and they match
+the parameters of the type's ``__init__``.
 """
 
 import contextlib
+import inspect
 import io
 import json
-from dataclasses import MISSING, fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imm5.cli import main, parse_manifold, parse_seifert_file
+from imm5.cli import _record_fields, main, parse_manifold, parse_seifert_file
 from imm5.errors import Imm5Error
 from imm5.invariants import RECORD_KINDS, ImmersionDoubleData
 
@@ -21,10 +23,11 @@ LEAVES = (st.none() | st.booleans() | INTS
           | st.floats(allow_nan=False, allow_infinity=False)
           | st.sampled_from(["", "0", "1", "-3", " 12 ", "t3", "s3", "rp3", "01"])
           | st.text(max_size=4))
+RECORD_TYPES = [cls for _, cls in RECORD_KINDS.values()] + [ImmersionDoubleData]
 # Arbitrary values, their keys biased toward the names the readers look for.
 NAMES = sorted(
-    {f.name for _, cls in RECORD_KINDS.values() for f in fields(cls)}
-    | {f.name for f in fields(ImmersionDoubleData)} | set(RECORD_KINDS)
+    {name for cls in RECORD_TYPES for name, _, _ in _record_fields(cls)}
+    | set(RECORD_KINDS)
     | {"id", "manifold", "double_data", "name", "linking_matrix",
        "spin_boundary_signatures"})
 JSON_VALUES = st.recursive(
@@ -50,11 +53,12 @@ TYPED = {
 
 def records_of(cls):
     def record(value):
-        required = {f.name: value(f) for f in fields(cls) if f.default is MISSING}
-        optional = {f.name: value(f) for f in fields(cls) if f.default is not MISSING}
+        fields = _record_fields(cls)
+        required = {name: value(kind) for name, kind, needed in fields if needed}
+        optional = {name: value(kind) for name, kind, needed in fields if not needed}
         return st.fixed_dictionaries(required, optional={"id": VALUES, **optional})
-    return (record(lambda f: TYPED[f.type])
-            | record(lambda f: TYPED[f.type] | VALUES))
+    return (record(lambda kind: TYPED[kind])
+            | record(lambda kind: TYPED[kind] | VALUES))
 
 
 MATRIX = st.lists(st.lists(st.integers(-3, 3) | LEAVES, max_size=2), max_size=2)
@@ -74,6 +78,21 @@ RECORD_FILE = st.sets(st.sampled_from(sorted(CONTENTS)), min_size=1, max_size=3)
         **{key: CONTENTS[key] for key in keys}}))
 FILES = RECORD_FILE | MANIFOLD | JSON_VALUES
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+def test_record_fields_match_init_parameters():
+    """Each record type's fields, read in annotation order with the
+    class-body defaults, are its ``__init__`` parameters in order, a
+    required field exactly a parameter without a default, and each default
+    the class body's."""
+    for cls in RECORD_TYPES:
+        params = list(inspect.signature(cls).parameters.values())
+        fields = _record_fields(cls)
+        assert [p.name for p in params] == [name for name, _, _ in fields], cls
+        for p, (name, _, required) in zip(params, fields):
+            assert (p.default is p.empty) == required, (cls, name)
+            if not required:
+                assert p.default is vars(cls)[name], (cls, name)
 
 
 @FUZZ

@@ -103,6 +103,7 @@ from imm5.errors import (
     NoSolution,
     ParityViolation,
     ParseError,
+    _Value,
 )
 from imm5.intlinalg import (
     _CHUNK,
@@ -1483,22 +1484,35 @@ class BitTuple(tuple):
     pass
 
 
+def field_names(obj) -> list[str] | None:
+    """The field names of a dataclass or of a value type of the package
+    (``errors._Value``), read from the class's annotations; None for any
+    other object."""
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj)]
+    if isinstance(obj, _Value):
+        return list(type(obj).__annotations__)
+    return None
+
+
 def object_state(obj):
     """What two returned objects must share: the class, the instance dict
-    in order, the dataclass field names, hash and repr, each also after a
-    pickle, copy and ``dataclasses.replace`` round trip; for a
-    ``WuCoset`` the same of its value.  A list gives the states of its
-    items, any other value itself."""
+    in order, the field names, hash and repr, each also after a pickle,
+    copy and ``type(o)(*fields)`` round trip, for a dataclass and for a
+    value type of the package alike; for a ``WuCoset`` the same of its
+    value.  A list gives the states of its items, any other value
+    itself."""
     if isinstance(obj, list):
         return [object_state(x) for x in obj]
-    if not dataclasses.is_dataclass(obj):
+    names = field_names(obj)
+    if names is None:
         return obj
 
     def own(o):
-        return (type(o), list(o.__dict__.items()), [f.name for f in dataclasses.fields(o)],
-                outcome(hash, o), repr(o))
+        return (type(o), list(o.__dict__.items()), field_names(o), outcome(hash, o), repr(o))
 
-    trips = (pickle.loads(pickle.dumps(obj)), copy.copy(obj), dataclasses.replace(obj))
+    trips = (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+             type(obj)(*[getattr(obj, name) for name in names]))
     inner = object_state(obj.value) if type(obj) is WuCoset else None
     return own(obj), [own(o) for o in trips], inner
 
