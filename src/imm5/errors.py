@@ -2,6 +2,7 @@
 the base of the package's value types."""
 
 import reprlib
+from functools import cached_property
 
 
 class _Quote(reprlib.Repr):
@@ -90,9 +91,9 @@ class _Value:
             cls.__hash__ = None
 
     def _set(self, *values) -> None:
-        """Stores values as the fields, in order."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        """Stores values as the fields, in order, straight into the instance
+        dict, past the refusing ``__setattr__``."""
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -115,3 +116,16 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first read: the value is computed, written to the instance dict
+    and returned.  Later reads find it there.  Two threads that read one
+    instance's value for the first time may both compute it, as on 3.12."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value

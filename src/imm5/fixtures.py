@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 from .intlinalg import IntSymMatrix
 from .surgery import SurgeryPresentation
 
@@ -29,13 +27,23 @@ def fixture_names() -> list[str]:
     return sorted(MANIFOLDS)
 
 
+def _json_copy(value):
+    """A deep copy of a JSON-shaped value: dicts and lists are rebuilt,
+    strings and numbers are shared."""
+    if isinstance(value, dict):
+        return {k: _json_copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_copy(v) for v in value]
+    return value
+
+
 def manifold_json(name: str) -> dict:
     """A deep copy of the named fixture's manifold record."""
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
     if key not in MANIFOLDS:
         raise KeyError(f"unknown fixture {name!r}; have {', '.join(fixture_names())}")
-    return copy.deepcopy(MANIFOLDS[key])
+    return _json_copy(MANIFOLDS[key])
 
 
 def presentation(name: str) -> SurgeryPresentation:

@@ -27,13 +27,12 @@ arbitrary precision and neither fractions nor floating point are used.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import _QUOTE, AsymmetricMatrix, NoSolution, _Value
+from .errors import _QUOTE, AsymmetricMatrix, NoSolution, _cached, _Value
 
 Rows = Sequence[Sequence[int]]
 
@@ -76,22 +75,23 @@ class IntSymMatrix:
     def row_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
-    @cached_property
+    @_cached
     def _over_z(self) -> tuple[int, int, int]:
         """(signature, det, an (n-1)-minor) from the one symmetric Bareiss
         pass (``_signature_det``)."""
         return _signature_det(self.row_lists())
 
-    @cached_property
+    @_cached
     def _over_z2(self) -> tuple[tuple[int, ...], int, Mod2Solution]:
         """(rows of q mod 2 as bitmasks, diag q mod 2 as one bitmask, the
         solution of q c = diag q mod 2) from one Gauss-Jordan pass.  Pivots
         fall on columns < n only, so the solution is the one
         ``solve_mod2(entries, diagonal)`` gives."""
+        n = self.n
         rows = tuple(map(_mask, self.entries))
         diagonal = _mask(self.diagonal())
-        aug = [row | ((diagonal >> i) & 1) << self.n for i, row in enumerate(rows)]
-        return rows, diagonal, _solve_augmented(aug, self.n)
+        aug = [row | ((diagonal >> i) & 1) << n for i, row in enumerate(rows)]
+        return rows, diagonal, _solve_augmented(aug, n)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntSymMatrix) and self.entries == other.entries
@@ -113,15 +113,18 @@ def _int_row(row) -> tuple[int, ...]:
 def _as_row_lists(a: IntSymMatrix | Rows) -> list[list[int]]:
     if isinstance(a, IntSymMatrix):
         return a.row_lists()
-    return [[int(x) for x in row] for row in a]
+    return [list(map(int, row)) for row in a]
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def congruence(a: IntSymMatrix, g: Rows) -> IntSymMatrix:
@@ -142,11 +145,49 @@ def congruence(a: IntSymMatrix, g: Rows) -> IntSymMatrix:
 # ----------------------------------------------------------------------
 
 def det_int(a: IntSymMatrix | Rows) -> int:
-    """Exact determinant of a square integer matrix."""
-    m = _as_row_lists(a)
-    n = len(m)
-    if n == 0:
-        return 1
+    """Exact determinant of a square integer matrix.
+
+    Entries go through ``int()``, in row-major order.  A matrix that is
+    not square, ragged rows included, raises ValueError.  Up to 4 x 4 the
+    determinant is a cofactor expansion; beyond that, fraction-free
+    (Bareiss) elimination.
+    """
+    rows = a.entries if isinstance(a, IntSymMatrix) else tuple(a)
+    n = len(rows)
+    if n <= 4:
+        try:  # unpacking checks that each row has n entries
+            if n == 4:
+                (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+            elif n == 3:
+                (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+            elif n == 2:
+                (a0, a1), (b0, b1) = rows
+            elif n == 1:
+                (a0,), = rows
+        except ValueError:
+            raise ValueError("det_int needs a square matrix") from None
+        if n == 4:
+            a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = map(
+                int, (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3))
+            # Laplace expansion along the top two rows, by 2 x 2 minors
+            return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                    - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                    + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                    + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                    - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                    + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+        if n == 3:
+            a0, a1, a2, b0, b1, b2, c0, c1, c2 = map(
+                int, (a0, a1, a2, b0, b1, b2, c0, c1, c2))
+            return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                    + a2 * (b0 * c1 - b1 * c0))
+        if n == 2:
+            a0, a1, b0, b1 = map(int, (a0, a1, b0, b1))
+            return a0 * b1 - a1 * b0
+        return int(a0) if n else 1
+    m = [list(map(int, row)) for row in rows]
+    if any(len(row) != n for row in m):
+        raise ValueError("det_int needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -156,10 +197,13 @@ def det_int(a: IntSymMatrix | Rows) -> int:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        prow = m[k]
+        p = prow[k]
+        for row in m[k + 1:]:
+            c = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+                row[j] = (row[j] * p - c * prow[j]) // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -210,7 +254,9 @@ class _IntRows:
         self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
 
     def add(self, dst: int, src: int, c: int) -> None:
-        _row_add(self.rows, dst, src, c)
+        row, srow = self.rows[dst], self.rows[src]
+        for j in range(len(row)):
+            row[j] += c * srow[j]
 
     def negate(self, k: int) -> None:
         self.rows[k] = [-x for x in self.rows[k]]
@@ -237,13 +283,13 @@ class _Mod2InverseCols:
 
 
 def _min_abs_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first entry, in row-major order, of least nonzero absolute value
+    in the block a[t:][t:], or None when the block is zero."""
     best = None
-    best_abs = None
+    best_abs = 0
     for i in range(t, len(a)):
-        row = a[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x != 0 and (best_abs is None or abs(x) < best_abs):
+        for j, x in enumerate(a[i][t:], t):
+            if x and (not best_abs or abs(x) < best_abs):
                 best = (i, j)
                 best_abs = abs(x)
                 if best_abs == 1:
@@ -254,17 +300,6 @@ def _min_abs_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
 def _swap_cols(a: list[list[int]], j0: int, j1: int) -> None:
     for row in a:
         row[j0], row[j1] = row[j1], row[j0]
-
-
-def _row_add(a: list[list[int]], dst: int, src: int, c: int) -> None:
-    arow, srow = a[dst], a[src]
-    for j in range(len(arow)):
-        arow[j] += c * srow[j]
-
-
-def _col_add(a: list[list[int]], dst: int, src: int, c: int) -> None:
-    for row in a:
-        row[dst] += c * row[src]
 
 
 def _as_rect(a: IntSymMatrix | Rows) -> tuple[list[list[int]], int, int]:
@@ -287,8 +322,11 @@ def _smith_reduce(A: list[list[int]], u, vt) -> tuple[int, ...]:
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    r = min(m, n)
+    u_add = u.add
+    vt_add = None if vt is None else vt.add
     t = 0
-    while t < min(m, n):
+    while t < r:
         piv = _min_abs_entry(A, t)
         if piv is None:
             break
@@ -300,21 +338,30 @@ def _smith_reduce(A: list[list[int]], u, vt) -> tuple[int, ...]:
             _swap_cols(A, t, j0)
             if vt is not None:
                 vt.swap(t, j0)
-        p = A[t][t]
+        # rows and columns before t are zero outside the diagonal, so the
+        # operations on A skip them
+        live = A[t:]
+        prow = A[t]
+        p = prow[t]
         dirty = False
         for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // p
-                _row_add(A, i, t, -q)
-                u.add(i, t, -q)
-                dirty = dirty or A[i][t] != 0
+            row = A[i]
+            if row[t]:
+                q = row[t] // p
+                for j in range(t, n):
+                    row[j] -= q * prow[j]
+                u_add(i, t, -q)
+                if row[t]:
+                    dirty = True
         for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // p
-                _col_add(A, j, t, -q)
-                if vt is not None:
-                    vt.add(j, t, -q)
-                dirty = dirty or A[t][j] != 0
+            if prow[j]:
+                q = prow[j] // p
+                for row in live:
+                    row[j] -= q * row[t]
+                if vt_add is not None:
+                    vt_add(j, t, -q)
+                if prow[j]:
+                    dirty = True
         if dirty:
             # a remainder smaller than the pivot appeared; rehunt
             continue
@@ -326,15 +373,17 @@ def _smith_reduce(A: list[list[int]], u, vt) -> tuple[int, ...]:
                     break
         if off is not None:
             # fold the offending row in so the pivot can shrink to the gcd
-            _row_add(A, t, off, 1)
-            u.add(t, off, 1)
+            orow = A[off]
+            for j in range(t, n):
+                prow[j] += orow[j]
+            u_add(t, off, 1)
             continue
         t += 1
-    for k in range(min(m, n)):
+    for k in range(r):
         if A[k][k] < 0:
             A[k] = [-x for x in A[k]]
             u.negate(k)
-    return tuple(A[k][k] for k in range(min(m, n)))
+    return tuple(A[k][k] for k in range(r))
 
 
 def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
@@ -348,8 +397,7 @@ def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
     A, m, n = _as_rect(a)
     u, vt = _IntRows(m), _IntRows(n)
     factors = _smith_reduce(A, u, vt)
-    v = [list(col) for col in zip(*vt.rows)]
-    return SmithDecomposition(_freeze(u.rows), _freeze(v), _freeze(A), factors)
+    return SmithDecomposition(_freeze(u.rows), tuple(zip(*vt.rows)), _freeze(A), factors)
 
 
 def smith_mod2(a: IntSymMatrix | Rows) -> SmithMod2:
@@ -617,11 +665,11 @@ class Mod2Solution(_Value):
     def __init__(self, particular, kernel) -> None:
         self._set(particular, kernel)
 
-    @cached_property
+    @_cached
     def count(self) -> int:
         return 2 ** len(self.kernel)
 
-    @cached_property
+    @_cached
     def _tables(self) -> tuple[int, tuple[list[int], ...]]:
         """(the particular solution as a mask, ``_xor_tables`` of the kernel
         vectors, last first, _TAIL to a table).  With no kernel there is one
@@ -636,7 +684,7 @@ class Mod2Solution(_Value):
         x, tables = self._tables
         return x ^ _xor_lookup(tables, k, _TAIL)
 
-    @cached_property
+    @_cached
     def _free_digits(self) -> itemgetter:
         """Picks the free column of each kernel vector, its top bit, in
         kernel order, out of a mask's binary digits least significant first

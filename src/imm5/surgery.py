@@ -38,9 +38,8 @@ those coordinates are kept up to a cap
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
-from .errors import _Value
+from .errors import _cached, _Value
 from .intlinalg import _CHUNK, IntSymMatrix, _factors_mod_det, _xor_tables, smith_mod2
 
 
@@ -57,7 +56,7 @@ class SurgeryPresentation(_Value):
     def n(self) -> int:
         return self.q.n
 
-    @cached_property
+    @_cached
     def _h1(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(invariant factors of q, Gamma2 generators), by the route the
         module docstring describes."""
@@ -81,7 +80,7 @@ class SurgeryPresentation(_Value):
         which route gives them."""
         return self._h1[1]
 
-    @cached_property
+    @_cached
     def _wu_tables(self) -> tuple[int, tuple[list[int], ...]]:
         """(alpha, ``_xor_tables`` of v_0 .. v_{n-1}, _CHUNK to a table).
         v_j holds bit i when g_i has bit j, and row j of q mod 2 shifted up
@@ -98,7 +97,7 @@ class SurgeryPresentation(_Value):
                 g ^= low
         return len(gens), _xor_tables(vectors, _CHUNK)
 
-    @cached_property
+    @_cached
     def _wu_cosets(self) -> dict:
         """The Wu cosets built so far, keyed by their Gamma2 coordinates as
         one bitmask (coordinate i at bit i), so that a coset seen before is
@@ -124,7 +123,7 @@ class HomologyProfile(_Value):
     def __init__(self, betti1, torsion_factors) -> None:
         self._set(betti1, torsion_factors)
 
-    @cached_property
+    @_cached
     def alpha(self) -> int:
         return len(even_torsion_positions(self.torsion_factors))
 

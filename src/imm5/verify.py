@@ -9,6 +9,22 @@ Two layers live here, on top of the record types and validators of
   sweeps;
 * the built-in checks behind ``imm5 verify --corollaries``: the
   sphere-embedding 24Z sweep and the two 3-torus computations.
+
+Each battery draws every trial from one ``random.Random`` seeded with its
+seed.  Every draw is a ``randint``: ``_randint`` and ``_randints`` run
+CPython's ``randint`` inline on a ``random.Random`` (``getrandbits`` of the
+width's bit length, redrawn until it falls below the width), so a seed
+gives the values and the final generator state that ``randint`` gives.
+Any other generator, a subclass included, is asked for its own
+``randint``.
+
+No oracle runs the kernel it checks.  The determinantal-divisor oracle
+takes its minors with ``det_int`` (cofactor expansion up to 4 x 4,
+Bareiss elimination beyond) and shares no code with ``_smith_reduce`` or
+``_factors_mod_det``.  The characteristic polynomial is Berkowitz's
+division-free recurrence and shares no code with ``_signature_det``.
+The parity battery checks alpha, as ``homology_profile`` reads it,
+against the size of the form alone.
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul, ne
 
 from .embeddings import SpinBoundarySignatures, embedding_classes, is_embedding_class
 from .errors import _Value
@@ -53,7 +69,9 @@ def invariant_factors_via_minors(rows) -> tuple[int, ...]:
 
     d_k = gcd(all k-minors) / gcd(all (k-1)-minors), with zeros once
     some gcd vanishes.  Shares no code with the elimination-based Smith
-    routine, which it cross-checks.
+    routine, which it cross-checks.  The k-minors are taken rows first,
+    each set of k rows against every set of k columns in turn, and the
+    search stops at the first gcd of 1.
     """
     mat = [list(map(int, row)) for row in rows]
     m = len(mat)
@@ -63,10 +81,11 @@ def invariant_factors_via_minors(rows) -> tuple[int, ...]:
     prev = 1
     for k in range(1, r + 1):
         g = 0
-        for rows_k in itertools.combinations(range(m), k):
+        for rows_k in itertools.combinations(mat, k):
             for cols_k in itertools.combinations(range(n), k):
-                sub = [[mat[i][j] for j in cols_k] for i in rows_k]
-                g = gcd(g, det_int(sub))
+                # itemgetter of one column returns the entry, of k >= 2 a tuple
+                sub = list(map(itemgetter(*cols_k), rows_k))
+                g = gcd(g, det_int(sub if k > 1 else [sub]))
                 if g == 1:
                     break
             if g == 1:
@@ -82,28 +101,34 @@ def invariant_factors_via_minors(rows) -> tuple[int, ...]:
 def charpoly_int(rows) -> list[int]:
     """Coefficients [1, c1, ..., cn] of det(x*I - A), exactly.
 
-    Faddeev-LeVerrier in integers: for an integer matrix every
-    intermediate matrix is integral and k divides the k-th trace, so
-    each division is exact.
+    Berkowitz's division-free recurrence (Berkowitz 1984).  Let A_r be
+    the leading r x r block, R and C the first r entries of row r and of
+    column r, and a = A[r][r].  The characteristic polynomial of A_{r+1}
+    is the convolution of that of A_r with 1, -a, -R C, -R A_r C, ...,
+    -R A_r^(r-1) C.  Entries go through ``int()``; a matrix that is not
+    square raises ValueError.
     """
-    n = len(rows)
-    a = [[int(x) for x in row] for row in rows]
-    work = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1]
-    for k in range(1, n + 1):
-        cols = list(zip(*work))
-        work = [[sum(map(mul, arow, col)) for col in cols] for arow in a]
-        q, r = divmod(sum(work[i][i] for i in range(n)), k)
-        assert r == 0, "Faddeev-LeVerrier trace not divisible by k"
-        coeffs.append(-q)
-        for i in range(n):
-            work[i][i] -= q
-    return coeffs
+    a = [list(map(int, row)) for row in rows]
+    n = len(a)
+    if set(map(len, a)) - {n}:
+        raise ValueError("charpoly_int needs a square matrix")
+    poly = [1]
+    for r in range(n):
+        arow = a[r]
+        block = a[:r]
+        v = [row[r] for row in block]
+        t = [1, -arow[r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, row, v)) for row in block]
+            t.append(-sum(map(mul, arow, v)))
+        poly = [sum(map(mul, poly, t[i::-1])) for i in range(r + 2)]
+    return poly
 
 
 def _sign_changes(seq: list[int]) -> int:
-    signs = [1 if x > 0 else -1 for x in seq if x != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [x > 0 for x in seq if x]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def signature_via_charpoly(rows) -> int:
@@ -111,25 +136,63 @@ def signature_via_charpoly(rows) -> int:
 
     All eigenvalues of a symmetric matrix are real, so Descartes' rule
     is exact: positive eigenvalues are the sign changes of p(x),
-    negative ones those of p(-x).
+    negative ones those of p(-x), whose coefficients are those of p(x)
+    with every other sign flipped.
     """
     coeffs = charpoly_int(rows)
-    n = len(coeffs) - 1
-    pos = _sign_changes(coeffs)
-    neg = _sign_changes([((-1) ** (n - k)) * c for k, c in enumerate(coeffs)])
-    return pos - neg
+    return (_sign_changes(coeffs)
+            - _sign_changes(list(map(mul, coeffs, itertools.cycle((1, -1))))))
 
 
 # ----------------------------------------------------------------------
 # Random instance generators (desk scale)
 # ----------------------------------------------------------------------
 
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)``, the same value and the same draws.
+
+    For a ``random.Random`` itself this is CPython's ``randint`` inlined:
+    k = (b - a + 1).bit_length() bits are drawn until they fall below
+    b - a + 1.  Any other generator, a subclass included, which may
+    override ``random`` or ``getrandbits``, goes through its own
+    ``randint``."""
+    if type(rng) is not random.Random:
+        return rng.randint(a, b)
+    width = b - a + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def _randints(rng: random.Random, a: int, b: int, count: int) -> list[int]:
+    """count calls of ``_randint(rng, a, b)``, in one loop."""
+    if type(rng) is not random.Random:
+        return [rng.randint(a, b) for _ in range(count)]
+    width = b - a + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(a + r)
+    return out
+
+
 def random_symmetric(rng: random.Random, n: int) -> IntSymMatrix:
-    """Random symmetric matrix, entries uniform in [-5, 5]."""
+    """Random symmetric matrix, entries uniform in [-5, 5].
+
+    Entry (i, j) with j <= i is drawn in row-major order."""
+    draws = _randints(rng, -5, 5, n * (n + 1) // 2)
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
+    k = 0
+    for i, row in enumerate(rows):
         for j in range(i + 1):
-            rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+            row[j] = rows[j][i] = draws[k]
+            k += 1
     return IntSymMatrix(rows)
 
 
@@ -137,35 +200,38 @@ def random_even_symmetric_nonsingular(rng: random.Random, n: int) -> IntSymMatri
     """Random symmetric matrix, even diagonal, nonzero determinant.
 
     Entries are uniform in [-5, 5] with the diagonal forced even;
-    singular draws are rejected.
+    singular draws are rejected.  Row i draws its entries left of the
+    diagonal, then the diagonal.
     """
     while True:
         rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i):
-                rows[i][j] = rows[j][i] = rng.randint(-5, 5)
-            rows[i][i] = 2 * rng.randint(-2, 2)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(_randints(rng, -5, 5, i)):
+                row[j] = rows[j][i] = x
+            row[i] = 2 * _randint(rng, -2, 2)
         if det_int(rows) != 0:
             return IntSymMatrix(rows)
 
 
 def random_int_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
-    """Random m x n integer matrix, entries uniform in [-5, 5]."""
-    return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+    """Random m x n integer matrix, entries uniform in [-5, 5], drawn row by
+    row."""
+    draws = _randints(rng, -5, 5, m * n)
+    return [draws[i * n:(i + 1) * n] for i in range(m)]
 
 
 def random_consistent_seifert_data(
     rng: random.Random,
 ) -> tuple[SeifertFillingR5, SeifertFillingR6, ImmersionDoubleData, HomologyProfile]:
     """A parity-valid tuple with cusps = 3t - 3l + L on a shared filling."""
-    sigma = rng.randint(-8, 8)
-    alpha = rng.randint(0, 3)
+    sigma = _randint(rng, -8, 8)
+    alpha = _randint(rng, 0, 3)
     if (sigma - alpha) % 2:
         alpha += 1
-    h = HomologyProfile(rng.randint(0, 2), (2,) * alpha)
-    t = rng.randint(-4, 4)
-    l = rng.randint(-4, 4)
-    big_l = 2 * rng.randint(-5, 5) + ((t - l) % 2)
+    h = HomologyProfile(_randint(rng, 0, 2), (2,) * alpha)
+    t = _randint(rng, -4, 4)
+    l = _randint(rng, -4, 4)
+    big_l = 2 * _randint(rng, -5, 5) + ((t - l) % 2)
     cusps = 3 * t - 3 * l + big_l
     return (SeifertFillingR5(sigma, cusps),
             SeifertFillingR6(sigma, t, l),
@@ -175,17 +241,17 @@ def random_consistent_seifert_data(
 
 def random_r5_pair(rng: random.Random) -> tuple[SeifertFillingR5, SeifertFillingR5]:
     """Two cusp-route fillings of one immersion (equal 3*sigma + cusps)."""
-    omega = rng.randint(-20, 20)
-    s1, s2 = rng.randint(-8, 8), rng.randint(-8, 8)
+    omega = _randint(rng, -20, 20)
+    s1, s2 = _randint(rng, -8, 8), _randint(rng, -8, 8)
     return (SeifertFillingR5(s1, 2 * omega - 3 * s1),
             SeifertFillingR5(s2, 2 * omega - 3 * s2))
 
 
 def random_r6_pair(rng: random.Random) -> tuple[SeifertFillingR6, SeifertFillingR6]:
     """Two triple-point-route fillings of one immersion (equal sigma + t - l)."""
-    level = rng.randint(-8, 8)
-    s1, t1 = rng.randint(-8, 8), rng.randint(-4, 4)
-    s2, t2 = rng.randint(-8, 8), rng.randint(-4, 4)
+    level = _randint(rng, -8, 8)
+    s1, t1 = _randint(rng, -8, 8), _randint(rng, -4, 4)
+    s2, t2 = _randint(rng, -8, 8), _randint(rng, -4, 4)
     return (SeifertFillingR6(s1, t1, s1 + t1 - level),
             SeifertFillingR6(s2, t2, s2 + t2 - level))
 
@@ -225,7 +291,7 @@ def oracle_parity_lemma(trials: int = 500, max_dim: int = 6, seed: int = 0) -> O
     """Size parity of random even nonsingular symmetric forms equals the
     parity of alpha of their cokernel, as ``homology_profile`` reads it."""
     def trial(rng):
-        n = rng.randint(1, max_dim)
+        n = _randint(rng, 1, max_dim)
         q = random_even_symmetric_nonsingular(rng, n)
         alpha = homology_profile(SurgeryPresentation("q", q)).alpha
         if (n - alpha) % 2:
@@ -239,15 +305,14 @@ def oracle_snf(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleRepo
     oracle on random integer matrices; on the square nonsingular ones,
     the factors modulo the determinant agree with that oracle too."""
     def trial(rng):
-        m = rng.randint(0, max_dim)
-        n = rng.randint(0, max_dim)
+        m = _randint(rng, 0, max_dim)
+        n = _randint(rng, 0, max_dim)
         a = random_int_matrix(rng, m, n)
         dec = smith_normal_form(a)
-        prod = [[sum(dec.u[i][k] * a[k][j] for k in range(m)) for j in range(n)]
-                for i in range(m)]
-        prod = [[sum(prod[i][k] * dec.v[k][j] for k in range(n)) for j in range(n)]
-                for i in range(m)]
-        if tuple(tuple(r) for r in prod) != dec.s:
+        a_cols = list(zip(*a))
+        v_cols = list(zip(*dec.v))
+        ua = [[sum(map(mul, row, col)) for col in a_cols] for row in dec.u]
+        if tuple(tuple(sum(map(mul, row, col)) for col in v_cols) for row in ua) != dec.s:
             return f"u*a*v != s for {a}"
         if abs(det_int(dec.u)) != 1 or abs(det_int(dec.v)) != 1:
             return f"non-unimodular transform for {a}"
@@ -265,7 +330,7 @@ def oracle_snf(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleRepo
 def oracle_signature(trials: int = 500, max_dim: int = 6, seed: int = 0) -> OracleReport:
     """Congruence-reduction signature vs the root-sign-count oracle."""
     def trial(rng):
-        q = random_symmetric(rng, rng.randint(0, max_dim))
+        q = random_symmetric(rng, _randint(rng, 0, max_dim))
         got = signature(q)
         want = signature_via_charpoly(q.entries)
         if got != want:

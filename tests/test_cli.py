@@ -674,9 +674,13 @@ FIXTURE_MODULES = ["imm5", "imm5.cli", "imm5.embeddings", "imm5.errors",
 # no command needs them
 CODEGEN_MODULES = {"dataclasses", "inspect"}
 
+# standard-library modules that no command needs: the above, and copy,
+# since the built-in fixtures copy their JSON records without it
+UNUSED_MODULES = CODEGEN_MODULES | {"copy"}
+
 
 def _modules_loaded(argv) -> list[str]:
-    """The imm5 modules, and those of CODEGEN_MODULES, that a fresh
+    """The imm5 modules, and those of UNUSED_MODULES, that a fresh
     interpreter holds after ``import imm5`` (argv None) or after
     ``main(argv)``, which must exit 0."""
     script = (
@@ -690,7 +694,7 @@ def _modules_loaded(argv) -> list[str]:
         "        assert main(argv) == 0, argv\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'imm5' or m.startswith('imm5.')\n"
-        f"                        or m in {sorted(CODEGEN_MODULES)!r})))\n")
+        f"                        or m in {sorted(UNUSED_MODULES)!r})))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(imm5.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           env=env, check=True, capture_output=True, text=True)
@@ -699,24 +703,27 @@ def _modules_loaded(argv) -> list[str]:
 
 def test_each_command_loads_only_the_modules_it_runs():
     """``import imm5`` loads no submodule, each subcommand loads the modules
-    its code path calls, and none loads imm5.spin, dataclasses or inspect.
-    Each case runs in a fresh interpreter."""
+    its code path calls, and none loads imm5.spin, dataclasses, inspect or
+    copy.  Each case runs in a fresh interpreter."""
     records = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "records.json")
     assert _modules_loaded(None) == ["imm5"]
     for argv in (["analyze", "t3"], ["embeddings", "t3"]):
         loaded = _modules_loaded(argv)
         assert loaded == FIXTURE_MODULES, argv
         assert not CODEGEN_MODULES & set(loaded), argv
+        assert "copy" not in loaded, argv
     for argv in (["act", "t3", "--wu", "0", "--i", "0", "--omega", "12"],
                  ["invariant", records], ["verify", records]):
         loaded = _modules_loaded(argv)
         assert set(FIXTURE_MODULES) <= set(loaded), argv
         assert set(loaded) - set(FIXTURE_MODULES) <= {"imm5.invariants"}, argv
         assert not CODEGEN_MODULES & set(loaded), argv
+        assert "copy" not in loaded, argv
     for argv in (["verify", "--corollaries"], ["verify", "--oracles", "--trials", "2"]):
         loaded = _modules_loaded(argv)
         assert "imm5.spin" not in loaded, argv
         assert not CODEGEN_MODULES & set(loaded), argv
+        assert "copy" not in loaded, argv
 
 
 def test_cli_import_leaves_numpy_unloaded():
