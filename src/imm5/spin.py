@@ -12,8 +12,8 @@ Spin vectors are int bitmasks (bit j is c_j mod 2) everywhere inside:
 its one Z2 reduction, and unpacks a mask to a ``SpinStructure`` tuple
 only when that element is read; membership and ``index`` go the other
 way, from a vector to its mask and its position.  The element read
-carries the mask it was unpacked from, outside its dataclass fields, so
-the maps below do not encode c again; a ``SpinStructure`` built with c a
+carries the mask it was unpacked from, outside its fields, so the maps
+below do not encode c again; a ``SpinStructure`` built with c a
 tuple stores its mask the same way on first use.
 
 The maps below are a few table lookups ("Four Russians": Arlazarov,
@@ -24,8 +24,8 @@ call.
 
 * ``spins[k]`` with k an ``int`` in range walks the solution tables once
   and writes c and the mask straight into the instance dict of the new
-  ``SpinStructure``, the state its frozen ``__init__`` and a stored mask
-  would leave.  Any other k (a bool, a negative or ``__index__`` index)
+  ``SpinStructure``, the state its ``__init__`` and a stored mask would
+  leave.  Any other k (a bool, a negative or ``__index__`` index)
   is normalised first, a slice reads its elements, and an index out of
   range raises IndexError.
 * The Wu map takes s1 and then s2.  Each argument's mask is the one a
@@ -52,11 +52,10 @@ call.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from operator import eq, index
 
-from .errors import _QUOTE, InvalidSpinStructure
+from .errors import _QUOTE, InvalidSpinStructure, _Value
 from .intlinalg import _CHUNK, _TAIL
 from .surgery import Gamma2Element, SurgeryPresentation
 
@@ -87,32 +86,49 @@ def _bits(x: int, n: int) -> tuple[int, ...]:
     return bits[:n]
 
 
-@dataclass(frozen=True)
-class SpinStructure:
+class SpinStructure(_Value):
     """Indicator vector of a characteristic sublink.
 
     An instance may carry the bitmask of c (bit j is c_j mod 2) as
-    ``_mask`` in its instance dict, outside the dataclass fields, so
-    equality, hashing and ``repr`` see c alone.  ``spin_structures``
-    builds its elements with c and the mask they were decoded from
-    written straight into that dict; an instance built with c a tuple
-    stores its mask on the first Wu call it is handed to.  A c of any
-    other type is read afresh on every call.  A carried mask saves reading
-    c again, never the test: every Wu call checks both of its arguments
-    against the presentation it is given.
+    ``_mask`` in its instance dict, outside the fields, so equality,
+    hashing and ``repr`` see c alone.  ``spin_structures`` builds its
+    elements with c and the mask they were decoded from written straight
+    into that dict; an instance built with c a tuple stores its mask on
+    the first Wu call it is handed to.  A c of any other type is read
+    afresh on every call.  A carried mask saves reading c again, never the
+    test: every Wu call checks both of its arguments against the
+    presentation it is given.
     """
 
     c: tuple[int, ...]
     _mask = None  # no annotation: not a field
 
+    def __init__(self, c: tuple[int, ...]) -> None:
+        # stored directly, as in Gamma2Element, without a call to _set
+        object.__setattr__(self, "c", c)
 
-@dataclass(frozen=True)
-class WuCoset:
+    # equality and hash read the one field directly, as the dataclass's did:
+    # a list or set of the elements compares them in bulk
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.c,) == (other.c,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.c,))
+
+
+class WuCoset(_Value):
     """The class of a spin-structure difference in Gamma2 coordinates.
     ``wu_coset_of_difference`` returns one shared instance per class of a
     presentation, up to the cap the module docstring names."""
 
     value: Gamma2Element
+
+    def __init__(self, value: Gamma2Element) -> None:
+        # a Wu-coset memo miss builds one; stored directly, as in
+        # Gamma2Element, without a call to _set
+        object.__setattr__(self, "value", value)
 
 
 def _parity_mask(c) -> int:
@@ -159,8 +175,8 @@ class _SpinSpace(Sequence):
 
     def _unpack(self, x: int) -> SpinStructure:
         """The element whose mask is x, carrying it: its instance dict gets
-        c and the mask directly, as the frozen ``__init__`` and a stored
-        mask would leave it."""
+        c and the mask directly, as ``__init__`` and a stored mask would
+        leave it."""
         s = _new(SpinStructure)
         d = s.__dict__
         d["c"] = _bits(x, self._n)

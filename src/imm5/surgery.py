@@ -175,6 +175,9 @@ class Gamma2Element(_Value):
         return not any(self.coords)
 
     def __add__(self, other: "Gamma2Element") -> "Gamma2Element":
+        # another class gets NotImplemented, so that Python raises TypeError
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if len(self.coords) != len(other.coords):
             raise ValueError("rank mismatch")
         return Gamma2Element(tuple(a ^ b for a, b in zip(self.coords, other.coords)))

@@ -681,13 +681,13 @@ UNUSED_MODULES = CODEGEN_MODULES | {"copy"}
 
 def _modules_loaded(argv) -> list[str]:
     """The imm5 modules, and those of UNUSED_MODULES, that a fresh
-    interpreter holds after ``import imm5`` (argv None) or after
-    ``main(argv)``, which must exit 0."""
+    interpreter holds after running argv: a statement given as a string,
+    or ``main(argv)``, which must exit 0."""
     script = (
         "import contextlib, io, json, sys\n"
         "argv = json.loads(sys.argv[1])\n"
-        "if argv is None:\n"
-        "    import imm5\n"
+        "if isinstance(argv, str):\n"
+        "    exec(argv, {})\n"
         "else:\n"
         "    from imm5.cli import main\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -704,9 +704,16 @@ def _modules_loaded(argv) -> list[str]:
 def test_each_command_loads_only_the_modules_it_runs():
     """``import imm5`` loads no submodule, each subcommand loads the modules
     its code path calls, and none loads imm5.spin, dataclasses, inspect or
-    copy.  Each case runs in a fresh interpreter."""
+    copy.  ``import imm5.spin`` and ``from imm5 import *``, which loads
+    every submodule that defines a public name, load neither dataclasses
+    nor inspect.  Each case runs in a fresh interpreter."""
     records = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "records.json")
-    assert _modules_loaded(None) == ["imm5"]
+    assert _modules_loaded("import imm5") == ["imm5"]
+    loaded = _modules_loaded("import imm5.spin")
+    assert "imm5.spin" in loaded and not CODEGEN_MODULES & set(loaded), loaded
+    loaded = _modules_loaded("from imm5 import *")
+    assert {"imm5.embeddings", "imm5.invariants", "imm5.spin"} <= set(loaded), loaded
+    assert not CODEGEN_MODULES & set(loaded), loaded
     for argv in (["analyze", "t3"], ["embeddings", "t3"]):
         loaded = _modules_loaded(argv)
         assert loaded == FIXTURE_MODULES, argv

@@ -1,80 +1,65 @@
-"""Seeded differential tests: the integer-only kernels against the routines
-they replaced.
+"""Seeded differential tests: each kernel against one reference.
 
-The reference signature is the former ``Fraction`` congruence routine,
-kept here verbatim.  The mod-2 Smith routine is checked against the full
-``smith_normal_form`` (the same factors, and u times the kept u^{-1} is
-the identity mod 2), and the Wu map read off the cached Gamma2
-generators against the former per-call route (a Smith form and a GF(2)
-solve of u^T c = delta on every call).  The bitmask ``solve_mod2`` is
-checked against the former numpy ``uint8`` routine, kept here verbatim;
-those tests skip when numpy is absent.
-The bitmask spin path (the streamed ``Mod2Solution.masks`` enumeration
-and its indexed ``mask``, the lazy ``spin_structures`` sequence against
-the list it replaced, and the Wu map and its verdict on one argument)
-is checked against the former tuple routines, kept here verbatim.
+A reference is the routine the kernel replaced, kept here verbatim, or a
+computation straight from the definitions.  FAMILIES are four seeded
+families of matrices: general, singular, zero-diagonal (the hyperbolic
+move) and alpha >= 2.
 
-Four seeded families of 2,500 matrices each cover general, singular,
-zero-diagonal (the hyperbolic move) and alpha >= 2 inputs.
+The signature is checked against the former ``Fraction`` congruence
+routine, on 2,500 matrices of each family.
 
-The symmetric Bareiss pass ``_signature_det``, which keeps only the
-upper triangle, is checked against the former full-storage pass, kept
-here verbatim: the same (signature, det, minor) triple, on the four
-families and on plumbing chains, dense matrices up to n = 60, the empty
-and 1 x 1 matrices, matrices with zero rows, and block sums that force
-several swaps and hyperbolic mates in one pass.
+``smith_mod2`` is checked against the full ``smith_normal_form``: the same
+factors, and u times the kept u^{-1} is the identity mod 2, on 2,500
+matrices of each family.
 
-H1 as ``homology_profile`` computes it (factors modulo the determinant
-and the generator read off ker(q mod 2) when q is nonsingular and
-alpha <= 1, the Smith route otherwise) is checked against the former
-Smith route, kept here verbatim: u replayed mod 2 row by row through
-``_smith_reduce``, then inverted over Z2.  Its generators must equal the
-kept ones wherever the Smith route runs.  There are 10,000 instances in
-five families: random symmetric, plumbing trees, singular, alpha >= 2
-block sums, and diagonals sharing odd primes, whose factors modulo the
-determinant leave a non-unit block.
+H1 as ``homology_profile`` computes it is checked against the former Smith
+route: u replayed mod 2 through ``_smith_reduce``, then inverted over Z2.
+There are 10,000 instances in five families: random symmetric, plumbing
+trees, singular, alpha >= 2 block sums, and diagonals sharing odd primes.
+The Wu coordinates of 6 spin pairs are checked on each with alpha <= 1.
 
-The Wu map by table lookups (a tuple read as binary digits at C speed,
-one walk per argument over XOR tables of the stacked map) is checked
-against the per-entry loops it replaced, kept here verbatim, on 10,400
-probes at n = 0, 1, 4, 8, 9, 16, 17 and 199, with entries past one byte,
-negative, ``bool``, ``float`` and ``str``.  Where a former test checked
-the former characteristic test, it now checks the Wu map's verdict on the
-same probe (``wu_verdict``): the probe in both argument positions, and
-the mask it carries afterwards.  The former references read the tables
-of the rows of q mod 2 and of the generator columns from test-local
-builders with their former construction.
+The Wu map's coordinates for alpha >= 2 are checked against the former
+per-call route, a Smith form and a GF(2) solve of u^T c = delta on every
+call: 8 spin structures on each of 300 presentations.
 
-The spin structures that ``spin_structures`` builds carry their mask, a
-``SpinStructure`` built with c a tuple stores it on first use, and each
-presentation returns the Wu coset it built before.  The characteristic
-test, ``spins[k]`` and the Wu map are checked against the routines that
-encoded c on every test and built a new coset on every call, kept here
-verbatim, on 10,400 probes: spin structures of another presentation of
-the same n, user-built vectors, arguments that are not spin structures,
-and copy, pickle and ``dataclasses.replace`` round trips.
+``solve_mod2`` and ``spin_structures`` are checked against the former
+numpy ``uint8`` routine, on 12,000 systems and 500 presentations of each
+family.  Both tests skip when numpy is absent.
 
-``spins[k]`` by one walk of the solution tables into an instance dict
-written directly, the Wu call that tests s1 and then s2 in straight-line
-code, and membership read at C speed are checked against the routines
-that called ``_xor_lookup`` per lookup, built every element through the
-frozen ``__init__`` and scanned c twice, kept here verbatim, on 10,400
-probes that compare the value and its object state (dict, fields, hash,
-repr, round trips) or the exception.  ``parse_wu_coords``, the coset
-block of ``parse_manifold``, ``embedding_classes`` and the
-``Gamma2Element`` check are checked against their former versions, kept
-here verbatim, on 3,500 probes each, malformed keys and signature lists
-among them.  The GF(2) elimination keyed by lowest set bit is checked
-against the column scan it replaced, kept here verbatim, on 10,000
+``Mod2Solution.masks`` and ``mask``, and the lazy ``spin_structures``
+sequence, are checked against the former tuple routines, on 10,000
+solution sets and 400 presentations.
+
+The upper-triangle Bareiss pass ``_signature_det`` is checked against the
+former full-storage pass: the same (signature, det, minor) on 2,500
+matrices of each family, plumbing chains and trees, dense matrices up to
+n = 60, the empty and 1 x 1 matrices, 500 with zero rows, and 1,000 block
+sums that force several swaps and hyperbolic mates.
+
+The characteristic test, the Wu map, ``spins[k]`` and ``in``/``count``/
+``index`` are checked against ``SpinReference``, which reads c entry by
+entry, with no XOR table, memo or carried mask.  The tuple family is 10
+probe pairs on each of 1,000 presentations.  The fast-path family is 8
+kinds of probe, 1,300 at each n up to 199.  The carried family is 13 kinds
+of Wu probe, 1,300 at each n up to 64, each made in two rounds.  The
+straight-line family pairs one of 9 kinds of index probe and one of 8
+kinds of member probe with a Wu probe, 1,300 at each n up to 64, and a
+quarter of its presentations start with their memo at the cap.  Every Wu
+call of those two families also checks the memo contract.
+
+``_gauss_jordan_mod2`` is checked against the former column scan, on
+10,000 systems.
+
+``parse_wu_coords``, the coset block of ``parse_manifold``,
+``embedding_classes`` and the ``Gamma2Element`` check are checked against
+their former versions, on 3,500 probes each.
+
+One walk over ``SurgeryPresentation._wu_tables`` is checked against row
+parities of q and popcount parities against the generators, at n up to
+199 with alpha from 0 to 12.
+
+``Mod2Solution.index`` is checked against the loop it replaced, on 1,500
 systems.
-
-One walk over ``SurgeryPresentation._wu_tables`` is checked against an
-independent computation of the Gamma2 coordinates and q x mod 2 (row
-parities of the entries, popcount parities against the generators) at
-n = 0, 1, 4, 5, 16, 17 and 199 with alpha from 0 to 12.
-``Mod2Solution.index``, which picks the digits of k out of a formatted
-mask, is checked against the loop it replaced, kept here verbatim, on
-1,500 systems with 0, 1 and up to 70 free columns.
 """
 
 import copy
@@ -117,7 +102,6 @@ from imm5.intlinalg import (
     _signature_det,
     _smith_reduce,
     _xor_lookup,
-    _xor_tables,
     det_int,
     signature,
     smith_mod2,
@@ -125,13 +109,9 @@ from imm5.intlinalg import (
     solve_mod2,
 )
 from imm5.spin import (
-    _PARITY_DIGITS,
     _WU_COSET_CAP,
     SpinStructure,
     WuCoset,
-    _SpinSpace,
-    _bits,
-    _parity_mask,
     spin_structures,
     wu_coset_of_difference,
 )
@@ -584,27 +564,6 @@ def tuple_solutions(self):
         yield tuple((x >> j) & 1 for j in range(n))
 
 
-def sum_is_characteristic(p, s) -> bool:
-    """The former ``is_characteristic``: whether s solves the
-    characteristic-sublink equation for p."""
-    if len(s.c) != p.n:
-        return False
-    return all((sum(map(mul, row, s.c)) - row[i]) % 2 == 0
-               for i, row in enumerate(p.q.entries))
-
-
-def tuple_wu_coset_of_difference(p, s1, s2):
-    """The former ``wu_coset_of_difference``, on the former predicate."""
-    for s in (s1, s2):
-        if not sum_is_characteristic(p, s):
-            raise InvalidSpinStructure(
-                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
-                f"for {_QUOTE.repr(p.name)}"
-            )
-    delta = sum((a ^ b) << j for j, (a, b) in enumerate(zip(s1.c, s2.c)))
-    coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
-    return WuCoset(Gamma2Element(coords))
-
 
 def test_enumeration_matches_tuple_reference():
     """Order and content of the streamed enumeration, for kernels on both
@@ -676,55 +635,6 @@ def test_spin_sequence_matches_tuple_reference():
         assert mine.sample(spins, m) == twin.sample(want, m), p.q
         assert mine.choice(spins) == twin.choice(want), p.q
     assert dims >= set(range(_TAIL + 3))
-
-
-def spin_probe(rng, p, spins):
-    """A vector to test against p: a spin structure, a random 0/1 vector,
-    one of the wrong length, or one with entries outside {0, 1}."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        return rng.choice(spins)
-    if kind == 1:
-        return SpinStructure(tuple(rng.randint(0, 1) for _ in range(p.n)))
-    if kind == 2:
-        wrong = p.n + 1 if p.n == 0 or rng.random() < 0.5 else p.n - 1
-        return SpinStructure(tuple(rng.randint(0, 1) for _ in range(wrong)))
-    # a spin structure or a random vector, shifted by even amounts
-    base = rng.choice(spins).c if rng.random() < 0.5 else \
-        tuple(rng.randint(0, 1) for _ in range(p.n))
-    return SpinStructure(tuple(x + rng.choice((0, 2, -2, 4)) for x in base))
-
-
-def test_spin_predicate_and_wu_match_tuple_reference():
-    """The bitmask predicate and Wu map against the former tuple
-    routines.  With entries outside {0, 1} the former delta shifted
-    a ^ b unmasked; the new one reads c mod 2, so there the reference is
-    run on the vectors reduced mod 2."""
-    rng = random.Random("spin-path")
-    noncharacteristic = nonbit = wu_rejected = wu_mapped = 0
-    for k in range(SPIN_CASES // 10):
-        p = SurgeryPresentation("d", IntSymMatrix(instance(FAMILIES[k % 4], rng)))
-        spins = spin_structures(p)
-        for _ in range(10):
-            s1, s2 = spin_probe(rng, p, spins), spin_probe(rng, p, spins)
-            ok = sum_is_characteristic(p, s1)
-            assert wu_verdict(p, s1, spins[0]) == (_mask(s1.c) if ok else None), (p.q, s1)
-            noncharacteristic += not ok
-            bits = [SpinStructure(tuple(x & 1 for x in s.c)) for s in (s1, s2)]
-            nonbit += bits != [s1, s2]
-            try:
-                want = tuple_wu_coset_of_difference(p, *bits)
-            except InvalidSpinStructure as exc:
-                with pytest.raises(InvalidSpinStructure) as got:
-                    wu_coset_of_difference(p, s1, s2)
-                if bits == [s1, s2]:
-                    assert str(got.value) == str(exc)
-                wu_rejected += 1
-                continue
-            assert wu_coset_of_difference(p, s1, s2) == want, (p.q, s1, s2)
-            wu_mapped += 1
-    assert noncharacteristic >= 1000 and nonbit >= 1000
-    assert wu_rejected >= 1000 and wu_mapped >= 1000
 
 
 def full_signature_det(M: list[list[int]]) -> tuple[int, int, int]:
@@ -918,41 +828,117 @@ def test_upper_triangle_pass_matches_full_storage_reference():
 
 
 # ----------------------------------------------------------------------
-# The characteristic test and Wu coordinates by table lookups, against
-# the per-entry loops they replaced
+# The characteristic test, the Wu map, spins[k] and membership, against
+# one reference that reads c entry by entry.  The four tests keep the
+# names of the former routines each was first checked against.
 # ----------------------------------------------------------------------
 
+TUPLE_PRESENTATIONS = 1000
+TUPLE_PAIRS = 10  # per presentation
 FAST_PATH_SIZES = (0, 1, 4, 8, 9, 16, 17, 199)
 FAST_PATH_PROBES = 1300  # per size
+CARRIED_SIZES = (0, 1, 4, 8, 9, 16, 17, 64)
+CARRIED_PROBES = 1300  # per size
 
 
-def loop_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
-    """The former ``_characteristic_mask``, verbatim."""
-    if len(s.c) != p.n:
-        return None
-    rows, diagonal, _ = p.q._over_z2
-    x = acc = 0
-    for j, (bit, row) in enumerate(zip(s.c, rows)):
-        if bit & 1:
-            x |= 1 << j
-            acc ^= row
-    return x if acc == diagonal else None
+class SpinReference:
+    """The spin structures of p and their Wu map, with no XOR table, no
+    memo and no carried mask.
 
+    ``mask`` is the characteristic test and ``wu`` the Wu map.  Both read c
+    entry by entry with ``& 1``, so a bad argument raises the TypeError,
+    AttributeError or InvalidSpinStructure of ``wu_coset_of_difference``,
+    with its message.  Row i of q c mod 2 is the parity of c against row i
+    of q, and the Gamma2 coordinates are popcount parities against
+    ``p.gamma2_generators``.
 
-def loop_wu_coset_of_difference(p, s1, s2):
-    """The former ``wu_coset_of_difference``: the loop masks and the
-    former coordinate expression, verbatim."""
-    delta = 0
-    for s in (s1, s2):
-        x = loop_characteristic_mask(p, s)
-        if x is None:
-            raise InvalidSpinStructure(
-                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
-                f"for {_QUOTE.repr(p.name)}"
-            )
-        delta ^= x
-    coords = tuple((delta & g).bit_count() & 1 for g in p.gamma2_generators)
-    return WuCoset(Gamma2Element(coords))
+    ``[k]``, ``in``, ``count`` and ``index`` are those of the list of the
+    solutions of q c = diag q mod 2 as ``spins[k]`` reads them.  Solution k
+    is the particular solution XOR the kernel vectors the bits of k pick,
+    the first kernel vector the most significant bit, and it carries its
+    mask after c.  The position of a characteristic mask x is the k that
+    ``Mod2Solution.index`` reads, checked here: solution k must be x, and
+    the solutions are distinct, so no other k is."""
+
+    def __init__(self, p: SurgeryPresentation):
+        self.p, self.n = p, p.n
+        self.rows = [_mask(row) for row in p.q.entries]
+        self.diagonal = _mask(p.q.diagonal())
+        self.sol = p.q._over_z2[2]
+        self.particular = _mask(self.sol.particular)
+        self.kernel = [_mask(vec) for vec in reversed(self.sol.kernel)]
+        self.size = 2 ** len(self.kernel)
+
+    def _characteristic(self, x: int) -> bool:
+        return self.diagonal == sum(((row & x).bit_count() & 1) << i
+                                    for i, row in enumerate(self.rows))
+
+    def mask(self, s) -> int | None:
+        """The mask of s when s is characteristic for p, else None."""
+        c = s.c
+        if len(c) != self.n:
+            return None
+        x = 0
+        for j, bit in enumerate(c):
+            if bit & 1:
+                x |= 1 << j
+        return x if self._characteristic(x) else None
+
+    def wu(self, s1, s2) -> WuCoset:
+        delta = 0
+        for s in (s1, s2):
+            x = self.mask(s)
+            if x is None:
+                raise InvalidSpinStructure(
+                    f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
+                    f"for {_QUOTE.repr(self.p.name)}")
+            delta ^= x
+        return WuCoset(Gamma2Element(tuple((delta & g).bit_count() & 1
+                                           for g in self.p.gamma2_generators)))
+
+    def _solution(self, k: int) -> int:
+        x = self.particular
+        for i, vec in enumerate(self.kernel):
+            if k >> i & 1:
+                x ^= vec
+        return x
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(self.size))]
+        k = index(k)
+        if not -self.size <= k < self.size:
+            raise IndexError("spin structure index out of range")
+        x = self._solution(k % self.size)
+        s = SpinStructure(tuple((x >> j) & 1 for j in range(self.n)))
+        vars(s)["_mask"] = x
+        return s
+
+    def _position(self, s) -> int | None:
+        """The k of the element s equals, else None: s is a
+        ``SpinStructure`` whose c is a tuple of n entries, each equal to 0 or
+        1, and those equal to 1 are characteristic."""
+        if (type(s) is not SpinStructure or not isinstance(s.c, tuple)
+                or len(s.c) != self.n or not all(x == 0 or x == 1 for x in s.c)):
+            return None
+        x = sum(1 << j for j, b in enumerate(s.c) if b == 1)
+        if not self._characteristic(x):
+            return None
+        k = self.sol.index(x)
+        assert self._solution(k) == x, (self.p.q, s)
+        return k
+
+    def __contains__(self, s) -> bool:
+        return self._position(s) is not None
+
+    def count(self, s) -> int:
+        return int(s in self)
+
+    def index(self, s, start=0, stop=None) -> int:
+        k = self._position(s)
+        if k is None or k not in range(*slice(start, stop).indices(self.size)):
+            raise ValueError(f"{_QUOTE.repr(s)} is not in the sequence")
+        return k
 
 
 def moved_diagonal(rng: random.Random, n: int) -> list[list[int]]:
@@ -973,6 +959,23 @@ def moved_diagonal(rng: random.Random, n: int) -> list[list[int]]:
 def any_spin(rng, p, spins):
     """A seeded spin structure of p; ``len(spins)`` overflows past 2**63."""
     return spins[rng.randrange(homology_profile(p).spin_structure_count)]
+
+
+def spin_probe(rng, p, spins):
+    """A vector to test against p: a spin structure, a random 0/1 vector,
+    one of the wrong length, or one with entries outside {0, 1}."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(spins)
+    if kind == 1:
+        return SpinStructure(tuple(rng.randint(0, 1) for _ in range(p.n)))
+    if kind == 2:
+        wrong = p.n + 1 if p.n == 0 or rng.random() < 0.5 else p.n - 1
+        return SpinStructure(tuple(rng.randint(0, 1) for _ in range(wrong)))
+    # a spin structure or a random vector, shifted by even amounts
+    base = rng.choice(spins).c if rng.random() < 0.5 else \
+        tuple(rng.randint(0, 1) for _ in range(p.n))
+    return SpinStructure(tuple(x + rng.choice((0, 2, -2, 4)) for x in base))
 
 
 def fast_path_probe(rng, p, spins, kinds: Counter):
@@ -1000,186 +1003,19 @@ def fast_path_probe(rng, p, spins, kinds: Counter):
     return SpinStructure(base if kind == "list" else tuple(base))
 
 
-def outcome(f, *args):
-    """f(*args), or the type and message of the exception it raises."""
-    try:
-        return f(*args)
-    except Exception as exc:  # compared, not handled
-        return type(exc), str(exc)
-
-
-def wu_verdict(p: SurgeryPresentation, s, spin: SpinStructure):
-    """The Wu map's verdict on the probe s, in the form of the former
-    ``_characteristic_mask``'s outcome.  s goes into both argument
-    positions against ``spin``, a spin structure of p, and both must
-    agree: None when both raise InvalidSpinStructure, the type and
-    message of any other exception both raise, else the mask s carries
-    afterwards.  That must be stored when s is a ``SpinStructure`` whose
-    c is a tuple; any other s stores none, and its mask is read off c
-    here."""
-    first = outcome(wu_coset_of_difference, p, s, spin)
-    second = outcome(wu_coset_of_difference, p, spin, s)
-    if not isinstance(first, WuCoset):
-        assert second == first, (s, first, second)
-        return None if first[0] is InvalidSpinStructure else first
-    assert isinstance(second, WuCoset) and second.value == first.value, s
-    if type(s) is SpinStructure and type(s.c) is tuple:
-        return vars(s).get("_mask")
-    assert "_mask" not in vars(s), s
-    return _mask(s.c)
-
-
-def test_table_lookups_match_loop_reference():
-    """The Wu map's verdict on a probe (``wu_verdict``) and
-    ``wu_coset_of_difference`` against the former characteristic test and
-    Wu map: the same mask or None, the same Wu coset, and the
-    same exception (type and message) for entries that are not integers,
-    over n from 0 to 199 with entries past one byte, negative, ``bool``,
-    ``float`` and ``str``, and vectors held in a list."""
-    rng = random.Random("table-lookups")
-    kinds, results = Counter(), Counter()
-    probes = 0
-    for n in FAST_PATH_SIZES:
-        presentations = []
-        for _ in range(2 if n == 199 else 20):
-            p = SurgeryPresentation("d", IntSymMatrix(moved_diagonal(rng, n)))
-            presentations.append((p, spin_structures(p)))
-        for _ in range(FAST_PATH_PROBES):
-            p, spins = rng.choice(presentations)
-            s1 = fast_path_probe(rng, p, spins, kinds)
-            s2 = fast_path_probe(rng, p, spins, kinds) if rng.random() < 0.3 else \
-                any_spin(rng, p, spins)
-            want = outcome(loop_characteristic_mask, p, s1)
-            assert wu_verdict(p, s1, spins[0]) == want, (p.q, s1)
-            results["raised" if isinstance(want, tuple) else
-                    "none" if want is None else "mask"] += 1
-            want = outcome(loop_wu_coset_of_difference, p, s1, s2)
-            assert outcome(wu_coset_of_difference, p, s1, s2) == want, (p.q, s1, s2)
-            results["wu" if isinstance(want, WuCoset) else want[0].__name__] += 1
-            probes += 1
-    assert probes >= 10000
-    assert min(kinds.values()) >= 1000 and len(kinds) == 8, kinds
-    assert min(results.values()) >= 500, results
-    assert results["wu"] >= 2000 and set(results) == {
-        "raised", "none", "mask", "wu", "InvalidSpinStructure", "TypeError"}, results
-
-
-# ----------------------------------------------------------------------
-# Carried masks and the Wu-coset memo, against the routines that encoded
-# c on every test and built a new coset on every call
-# ----------------------------------------------------------------------
-
-CARRIED_SIZES = (0, 1, 4, 8, 9, 16, 17, 64)
-CARRIED_PROBES = 1300  # per size
-
-
-# id(object) -> (object, tables): each builder below runs once per object,
-# as the cached property it stands for did; the object is kept, so its id
-# is not reused
-_BUILT_TABLES: dict[tuple[str, int], tuple[object, tuple]] = {}
-
-
-def _built_once(kind: str, obj, build):
-    key = (kind, id(obj))
-    if key not in _BUILT_TABLES:
-        _BUILT_TABLES[key] = obj, build(obj)
-    return _BUILT_TABLES[key][1]
-
-
-def row_tables(q: IntSymMatrix) -> tuple[list[int], ...]:
-    """The former ``IntSymMatrix._row_tables``, verbatim as a builder:
-    ``_xor_tables`` of the rows of q mod 2, _CHUNK to a table."""
-    return _built_once("rows", q, lambda q: _xor_tables(q._over_z2[0], _CHUNK))
-
-
-def build_gamma2_tables(p: SurgeryPresentation) -> tuple[int, tuple[list[int], ...]]:
-    """The former ``SurgeryPresentation._gamma2_tables``, verbatim as a
-    function: (alpha, ``_xor_tables`` of the columns of the Gamma2
-    generators, _CHUNK to a table), the columns stopping with the table
-    that holds the last nonzero one."""
-    gens = p.gamma2_generators
-    span = -(-max(map(int.bit_length, gens), default=0) // _CHUNK) * _CHUNK
-    columns = [0] * span
-    for i, g in enumerate(gens):
-        while g:
-            low = g & -g
-            columns[low.bit_length() - 1] |= 1 << i
-            g ^= low
-    return len(gens), _xor_tables(columns, _CHUNK)
-
-
-def gamma2_tables(p: SurgeryPresentation) -> tuple[int, tuple[list[int], ...]]:
-    return _built_once("gamma2", p, build_gamma2_tables)
-
-
-def uncached_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
-    """The former ``_characteristic_mask``, verbatim."""
-    c, q = s.c, p.q
-    if len(c) != len(q.entries):
-        return None
-    x = None
-    if type(c) is tuple:
-        try:
-            x = int(bytes(c).translate(_PARITY_DIGITS)[::-1] or b"0", 2)
-        except (TypeError, ValueError):
-            pass
-    if x is None:
-        x = 0
-        for j, bit in enumerate(c):
-            if bit & 1:
-                x |= 1 << j
-    return x if _xor_lookup(row_tables(q), x, _CHUNK) == q._over_z2[1] else None
-
-
-class UncachedSpinSpace(_SpinSpace):
-    """The sequence with the former ``__getitem__``, verbatim: its elements
-    carry no mask."""
-
-    def __getitem__(self, k):
-        count = self._sol.count
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(count))]
-        k = index(k)
-        if not -count <= k < count:
-            raise IndexError("spin structure index out of range")
-        # Mod2Solution.mask(k % count), one call fewer
-        x, tables = self._sol._tables
-        return SpinStructure(_bits(x ^ _xor_lookup(tables, k % count, _TAIL), self._n))
-
-
-def unmemoized_wu_coset_of_difference(
-    p: SurgeryPresentation, s1: SpinStructure, s2: SpinStructure
-) -> WuCoset:
-    """The former ``wu_coset_of_difference``, verbatim but for the name of
-    the characteristic test."""
-    delta = 0
-    for s in (s1, s2):
-        x = uncached_characteristic_mask(p, s)
-        if x is None:
-            raise InvalidSpinStructure(
-                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
-                f"for {_QUOTE.repr(p.name)}"
-            )
-        delta ^= x
-    alpha, tables = gamma2_tables(p)
-    return WuCoset(Gamma2Element(_bits(_xor_lookup(tables, delta, _CHUNK), alpha)))
-
-
 CARRIED_KINDS = ("spin", "foreign", "tuple", "list", "bool", "negative", "huge",
                  "length", "float", "other", "copy", "pickle", "replace")
 
 
-def carried_probe(rng, kind, own, foreign):
-    """(the vector handed to the former routines, the one handed to the
-    current ones) of the given kind.  ``own`` and ``foreign`` are (former,
-    current) sequences over p and over another presentation of the same n;
-    "spin" and "foreign" read the same index from both, the others build
-    one vector and hand it to both."""
+def carried_probe(rng, kind, spins, foreign):
+    """A vector of the given kind for the Wu map of the presentation of
+    ``spins``; ``foreign`` is the sequence of another presentation of the
+    same n.  "copy", "pickle" and "replace" (a rebuild from c) start from a
+    spin structure that carries its mask, or a user-built one that stored
+    it on a first Wu call."""
     if kind in ("spin", "foreign"):
-        old, new = own if kind == "spin" else foreign
-        k = rng.randrange(homology_profile(new._p).spin_structure_count)
-        return old[k], new[k]
-    spins = own[1]
+        own = spins if kind == "spin" else foreign
+        return any_spin(rng, own._p, own)
     base = list(any_spin(rng, spins._p, spins).c if rng.random() < 0.6 else
                 [rng.randint(0, 1) for _ in range(spins._n)])
     n = len(base)
@@ -1196,32 +1032,244 @@ def carried_probe(rng, kind, own, foreign):
     elif kind == "float" and n:
         base[rng.randrange(n)] = rng.choice((0.0, 1.0))
     if kind == "other":
-        s = rng.choice((tuple(base), None, base))
-        return s, s
+        return rng.choice((tuple(base), None, base))
     s = SpinStructure(base if kind == "list" else tuple(base))
     if kind in ("copy", "pickle", "replace"):
-        # a spin structure that carries its mask, or a user-built one that
-        # stored it on a first test
         if rng.random() < 0.5:
             s = any_spin(rng, spins._p, spins)
         else:
-            outcome(wu_coset_of_difference, foreign[1]._p, s, s)
+            outcome(wu_coset_of_difference, foreign._p, s, s)
         s = (copy.copy(s) if kind == "copy" else
              pickle.loads(pickle.dumps(s)) if kind == "pickle" else
-             dataclasses.replace(s))
-    return s, s
+             type(s)(s.c))
+    return s
+
+
+class Index:
+    """An integer known to ``operator.index`` only."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+
+class BitTuple(tuple):
+    pass
+
+
+def index_probe(rng, count: int):
+    """An index of each kind ``spins[k]`` takes or refuses."""
+    kind = rng.randrange(9)
+    k = rng.randrange(count)
+    if kind <= 2:
+        return k
+    if kind == 3:
+        return k - count
+    if kind == 4:
+        return rng.choice((True, False))
+    if kind == 5:
+        return Index(k if rng.random() < 0.8 else count)
+    if kind == 6:
+        start = rng.choice((k, k - count))
+        return slice(start, start + rng.randint(-3, 3), rng.choice((None, 1, 2, -1)))
+    if kind == 7:
+        return rng.choice((count, -count - 1, count + 2 ** 80, -2 ** 90))
+    return rng.choice((1.0, "0", None, 2 ** 0.5))
+
+
+def member_probe(rng, spins):
+    """A vector for ``in``, ``count`` and ``index``: an element, one with
+    entries True/False, 1.0 or -0.0, one of the wrong length, a list c, a
+    tuple subclass, entries outside {0, 1}, or no spin structure at all."""
+    n = spins._n
+    c = list(any_spin(rng, spins._p, spins).c if rng.random() < 0.7 else
+             [rng.randint(0, 1) for _ in range(n)])
+    kind = rng.randrange(8)
+    if kind == 1:
+        c = [bool(x) for x in c]
+    elif kind == 2 and n:
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            c[j] = float(c[j]) if c[j] else rng.choice((0.0, -0.0))
+    elif kind == 3:
+        c = c[:-1] if c and rng.random() < 0.5 else c + [0]
+    elif kind == 4:
+        return SpinStructure(c)
+    elif kind == 5:
+        return SpinStructure(BitTuple(c))
+    elif kind == 6 and n:
+        c[rng.randrange(n)] = rng.choice((2, -1, "1", None))
+    elif kind == 7:
+        return rng.choice((tuple(c), None, "spin"))
+    return SpinStructure(tuple(c))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def field_names(obj) -> list[str] | None:
+    """The field names of a dataclass or of a value type of the package
+    (``errors._Value``), read from the class's annotations; None for any
+    other object."""
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj)]
+    if isinstance(obj, _Value):
+        return list(type(obj).__annotations__)
+    return None
+
+
+def object_state(obj):
+    """What two returned objects must share: the class, the instance dict
+    in order, the field names, hash and repr, each also after a pickle,
+    copy and ``type(o)(*fields)`` round trip, for a dataclass and for a
+    value type of the package alike; for a ``WuCoset`` the same of its
+    value.  A list gives the states of its items, any other value
+    itself."""
+    if isinstance(obj, list):
+        return [object_state(x) for x in obj]
+    names = field_names(obj)
+    if names is None:
+        return obj
+
+    def own(o):
+        return (type(o), list(o.__dict__.items()), field_names(o), outcome(hash, o), repr(o))
+
+    trips = (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
+             type(obj)(*[getattr(obj, name) for name in names]))
+    inner = object_state(obj.value) if type(obj) is WuCoset else None
+    return own(obj), [own(o) for o in trips], inner
+
+
+def wu_verdict(p: SurgeryPresentation, s, spin: SpinStructure):
+    """The Wu map's verdict on the probe s, in the form of the outcome of
+    ``SpinReference.mask``.  s goes into both argument positions against
+    ``spin``, a spin structure of p, and both must agree: None when both
+    raise InvalidSpinStructure, the type and message of any other exception
+    both raise, else the mask s carries afterwards.  That must be stored
+    when s is a ``SpinStructure`` whose c is a tuple; any other s stores
+    none, and its mask is read off c here."""
+    first = outcome(wu_coset_of_difference, p, s, spin)
+    second = outcome(wu_coset_of_difference, p, spin, s)
+    if not isinstance(first, WuCoset):
+        assert second == first, (s, first, second)
+        return None if first[0] is InvalidSpinStructure else first
+    assert isinstance(second, WuCoset) and second.value == first.value, s
+    if type(s) is SpinStructure and type(s.c) is tuple:
+        return vars(s).get("_mask")
+    assert "_mask" not in vars(s), s
+    return _mask(s.c)
+
+
+def memo_wu(p: SurgeryPresentation, s1, s2, want) -> str:
+    """The Wu map on (s1, s2), called twice, against ``want``, the
+    reference's outcome, and the memo contract; the name of what happened.
+    A coset the memo holds comes back as that object, whose state was
+    checked when it was built.  Else, while the memo has room, the new
+    coset is kept and comes back again; past _WU_COSET_CAP each call builds
+    a new coset of the same state and keeps none."""
+    memo = p._wu_cosets
+    if isinstance(want, WuCoset):
+        key = _mask(want.value.coords)
+        kept, room = memo.get(key), len(memo) < _WU_COSET_CAP
+    got = outcome(wu_coset_of_difference, p, s1, s2)
+    again = outcome(wu_coset_of_difference, p, s1, s2)
+    if not isinstance(want, WuCoset):
+        assert got == want and again == want, (p.q, s1, s2)
+        return "wu " + want[0].__name__
+    assert len(memo) <= _WU_COSET_CAP
+    if kept is not None:
+        assert got is kept and again is kept and got == want, (p.q, s1, s2)
+        return "wu kept"
+    state = object_state(want)
+    assert object_state(got) == state, (p.q, s1, s2)
+    if room:
+        assert memo[key] is got and again is got, (p.q, s1, s2)
+        return "wu stored"
+    assert key not in memo and again is not got, (p.q, s1, s2)
+    assert object_state(again) == state, (p.q, s1, s2)
+    return "wu rebuilt"
+
+
+def test_spin_predicate_and_wu_match_tuple_reference():
+    """The Wu map's verdict on a probe (``wu_verdict``) and
+    ``wu_coset_of_difference`` against ``SpinReference`` on 10 pairs of
+    ``spin_probe`` vectors on each of 1,000 presentations of the four
+    families: the same mask or None, the same coset, or the same exception
+    type and message.  The probes include vectors of the wrong length and
+    entries outside {0, 1}."""
+    rng = random.Random("spin-path")
+    noncharacteristic = nonbit = wu_rejected = wu_mapped = 0
+    for k in range(TUPLE_PRESENTATIONS):
+        p = SurgeryPresentation("d", IntSymMatrix(instance(FAMILIES[k % 4], rng)))
+        ref, spins = SpinReference(p), spin_structures(p)
+        for _ in range(TUPLE_PAIRS):
+            s1, s2 = spin_probe(rng, p, spins), spin_probe(rng, p, spins)
+            want = ref.mask(s1)
+            assert wu_verdict(p, s1, spins[0]) == want, (p.q, s1)
+            noncharacteristic += want is None
+            nonbit += any(x not in (0, 1) for x in s1.c + s2.c)
+            want = outcome(ref.wu, s1, s2)
+            assert outcome(wu_coset_of_difference, p, s1, s2) == want, (p.q, s1, s2)
+            wu_rejected += isinstance(want, tuple)
+            wu_mapped += isinstance(want, WuCoset)
+    assert noncharacteristic >= 1000 and nonbit >= 1000
+    assert wu_rejected >= 1000 and wu_mapped >= 1000
+
+
+def test_table_lookups_match_loop_reference():
+    """The Wu map's verdict on a probe (``wu_verdict``) and
+    ``wu_coset_of_difference`` against ``SpinReference`` on 1,300
+    ``fast_path_probe`` vectors at each n in FAST_PATH_SIZES: the same mask
+    or None, the same coset, or the same exception type and message, with
+    entries past one byte, negative, ``bool``, ``float`` and ``str``, and
+    vectors held in a list."""
+    rng = random.Random("table-lookups")
+    kinds, results = Counter(), Counter()
+    probes = 0
+    for n in FAST_PATH_SIZES:
+        presentations = []
+        for _ in range(2 if n == 199 else 20):
+            p = SurgeryPresentation("d", IntSymMatrix(moved_diagonal(rng, n)))
+            presentations.append((p, SpinReference(p), spin_structures(p)))
+        for _ in range(FAST_PATH_PROBES):
+            p, ref, spins = rng.choice(presentations)
+            s1 = fast_path_probe(rng, p, spins, kinds)
+            s2 = fast_path_probe(rng, p, spins, kinds) if rng.random() < 0.3 else \
+                any_spin(rng, p, spins)
+            want = outcome(ref.mask, s1)
+            assert wu_verdict(p, s1, spins[0]) == want, (p.q, s1)
+            results["raised" if isinstance(want, tuple) else
+                    "none" if want is None else "mask"] += 1
+            want = outcome(ref.wu, s1, s2)
+            assert outcome(wu_coset_of_difference, p, s1, s2) == want, (p.q, s1, s2)
+            results["wu" if isinstance(want, WuCoset) else want[0].__name__] += 1
+            probes += 1
+    assert probes >= 10000
+    assert min(kinds.values()) >= 1000 and len(kinds) == 8, kinds
+    assert min(results.values()) >= 500, results
+    assert results["wu"] >= 2000 and set(results) == {
+        "raised", "none", "mask", "wu", "InvalidSpinStructure", "TypeError"}, results
 
 
 def test_carried_masks_and_memo_match_uncached_reference():
     """The Wu map's verdict on a probe (``wu_verdict``), ``spins[k]`` and
-    ``wu_coset_of_difference`` against the former routines: the same
-    element, the same mask or None,
-    and the same coset value or the same exception (type and message), on
-    the first call with a vector and again once it carries a mask.  Probes
-    include spin structures of another presentation of the same n,
+    ``wu_coset_of_difference`` against ``SpinReference``, 1,300 probes at
+    each n in CARRIED_SIZES: the same element, the same mask or None, and
+    the same coset or the same exception type and message.  The probes are
+    spin structures of the presentation and of another one of the same n,
     user-built tuples, lists, bools, negative entries, entries past 2**64,
     the wrong length, floats, arguments that are not spin structures, and
-    copy, pickle and ``dataclasses.replace`` round trips."""
+    copy, pickle and rebuilt spin structures.  Each goes through two
+    rounds: the second reads the masks the first stored, and a list c is
+    changed in place between them, so it must be read afresh.  Every Wu
+    call is made twice and checked against the memo contract
+    (``memo_wu``)."""
     rng = random.Random("carried-masks")
     kinds, results = Counter(), Counter()
     foreign_rejected = probes = 0
@@ -1229,36 +1277,90 @@ def test_carried_masks_and_memo_match_uncached_reference():
         spaces = []
         for _ in range(2 if n == 64 else 12):
             p = SurgeryPresentation("d", IntSymMatrix(moved_diagonal(rng, n)))
-            spaces.append((UncachedSpinSpace(p), spin_structures(p)))
+            spaces.append((p, SpinReference(p), spin_structures(p)))
         for _ in range(CARRIED_PROBES):
-            own, foreign = rng.choice(spaces), rng.choice(spaces)
-            p = own[1]._p
-            k = rng.randrange(homology_profile(p).spin_structure_count)
-            assert own[0][k] == own[1][k] and repr(own[0][k]) == repr(own[1][k])
+            (p, ref, spins), foreign = rng.choice(spaces), rng.choice(spaces)[2]
+            k = rng.randrange(ref.size)
+            assert list(vars(spins[k]).items()) == list(vars(ref[k]).items()), k
             kind = rng.choice(CARRIED_KINDS)
-            old1, new1 = carried_probe(rng, kind, own, foreign)
-            old2, new2 = (carried_probe(rng, rng.choice(CARRIED_KINDS), own, foreign)
-                          if rng.random() < 0.3 else (own[0][k], own[1][k]))
+            s1 = carried_probe(rng, kind, spins, foreign)
+            s2 = carried_probe(rng, rng.choice(CARRIED_KINDS), spins, foreign) \
+                if rng.random() < 0.3 else spins[k]
             for again in (False, True):
-                # the second round reads the stored masks; a list c is
-                # changed in place first, and must be read afresh
-                if again and kind == "list" and new1.c:
-                    new1.c[rng.randrange(len(new1.c))] += 1
-                want_mask = outcome(uncached_characteristic_mask, p, old1)
-                want = outcome(unmemoized_wu_coset_of_difference, p, old1, old2)
-                assert wu_verdict(p, new1, own[1][k]) == want_mask, (p.q, new1)
-                assert outcome(wu_coset_of_difference, p, new1, new2) == want, \
-                    (p.q, new1, new2)
+                if again and kind == "list" and s1.c:
+                    s1.c[rng.randrange(len(s1.c))] += 1
+                happened = memo_wu(p, s1, s2, outcome(ref.wu, s1, s2))
+                if not again:
+                    results[happened] += 1
+                want_mask = outcome(ref.mask, s1)
+                assert wu_verdict(p, s1, spins[k]) == want_mask, (p.q, s1)
             kinds[kind] += 1
-            results["wu" if isinstance(want, WuCoset) else want[0].__name__] += 1
-            foreign_rejected += (kind == "foreign" and own is not foreign
+            foreign_rejected += (kind == "foreign" and foreign is not spins
                                  and want_mask is None)
             probes += 1
     assert probes >= 10000
     assert min(kinds.values()) >= 600 and len(kinds) == len(CARRIED_KINDS), kinds
     assert foreign_rejected >= 200
-    assert results["wu"] >= 2000 and min(results.values()) >= 200 and set(results) == {
-        "wu", "InvalidSpinStructure", "TypeError", "AttributeError"}, results
+    assert results["wu kept"] + results["wu stored"] >= 2000
+    assert min(results.values()) >= 200 and set(results) == {
+        "wu kept", "wu stored", "wu InvalidSpinStructure", "wu TypeError",
+        "wu AttributeError"}, results
+
+
+def test_straight_line_spin_and_wu_match_lookup_call_reference():
+    """``spins[k]``, ``in``/``count``/``index`` and the Wu map against
+    ``SpinReference``, 1,300 probes at each n in CARRIED_SIZES: the same
+    value with the same object state (``object_state``), or the same
+    exception type and message.  Indices include negative ones, bools,
+    ``__index__`` objects, slices, out-of-range and non-integer ones.  The
+    Wu probes are those of ``carried_probe``, each call checked against
+    the memo contract (``memo_wu``), and a quarter of the presentations
+    start with their memo at the cap.  Iteration is checked on the first
+    64 elements of each presentation."""
+    rng = random.Random("straight-line")
+    results = Counter()
+    at_cap = 0
+    for n in CARRIED_SIZES:
+        spaces = []
+        for _ in range(2 if n == 64 else 12):
+            p = SurgeryPresentation("d", IntSymMatrix(moved_diagonal(rng, n)))
+            if rng.random() < 0.25:
+                # the memo already at the cap, with keys no coordinates take
+                p._wu_cosets.update((-1 - i, None) for i in range(_WU_COSET_CAP))
+                at_cap += 1
+            ref, spins = SpinReference(p), spin_structures(p)
+            # iteration unpacks the elements apart from spins[k]
+            for k, s in zip(range(64), spins):
+                assert list(vars(s).items()) == list(vars(ref[k]).items()), (p.q, k)
+            spaces.append((p, ref, spins))
+        for _ in range(CARRIED_PROBES):
+            (p, ref, spins), foreign = rng.choice(spaces), rng.choice(spaces)[2]
+            i = index_probe(rng, ref.size)
+            want = outcome(ref.__getitem__, i)
+            assert object_state(outcome(spins.__getitem__, i)) == object_state(want), i
+            results["read " + (type(want).__name__ if not isinstance(want, tuple)
+                               else want[0].__name__)] += 1
+
+            s = member_probe(rng, spins)
+            start, stop = rng.choice(((0, None), (1, None), (0, 1), (-2, None)))
+            for method in ("__contains__", "count"):
+                assert outcome(getattr(spins, method), s) == \
+                    outcome(getattr(ref, method), s), s
+            want = outcome(ref.index, s, start, stop)
+            assert outcome(spins.index, s, start, stop) == want, s
+            results["member " + ("index" if isinstance(want, int) else "ValueError")] += 1
+
+            s1 = carried_probe(rng, rng.choice(CARRIED_KINDS), spins, foreign)
+            s2 = carried_probe(rng, rng.choice(CARRIED_KINDS), spins, foreign) \
+                if rng.random() < 0.3 else spins[0]
+            results[memo_wu(p, s1, s2, outcome(ref.wu, s1, s2))] += 1
+    assert at_cap >= 10
+    assert sum(results[k] for k in results if k.startswith("read")) >= 10000
+    assert sum(results[k] for k in ("wu kept", "wu stored", "wu rebuilt")) >= 2000
+    assert min(results.values()) >= 200 and set(results) == {
+        "read SpinStructure", "read list", "read IndexError", "read TypeError",
+        "member index", "member ValueError", "wu kept", "wu stored", "wu rebuilt",
+        "wu InvalidSpinStructure", "wu TypeError", "wu AttributeError"}, results
 
 
 # ----------------------------------------------------------------------
@@ -1370,88 +1472,11 @@ def test_lowest_bit_elimination_matches_column_scan_reference():
     assert results["inconsistent"] >= 2000 and results["consistent"] >= 2000, results
 
 
+
 # ----------------------------------------------------------------------
-# Spin reads, Wu calls and coset parsing at the cost of their lookups,
-# against the routines that made a call per lookup and built every object
-# through the frozen dataclass __init__
+# Coset parsing, embedding offsets and the Gamma2Element check, against
+# the routines they replaced
 # ----------------------------------------------------------------------
-
-STRAIGHT_SIZES = (0, 1, 4, 8, 9, 16, 17, 64)
-STRAIGHT_PROBES = 1300  # per size
-
-
-def lookup_call_characteristic_mask(p: SurgeryPresentation, s: SpinStructure) -> int | None:
-    """The former ``_characteristic_mask``, verbatim."""
-    c, q = s.c, p.q
-    if len(c) != len(q.entries):
-        return None
-    if type(s) is not SpinStructure or type(c) is not tuple:
-        x = _parity_mask(c)
-    else:
-        x = s._mask
-        if x is None:
-            x = s.__dict__["_mask"] = _parity_mask(c)
-    return x if _xor_lookup(row_tables(q), x, _CHUNK) == q._over_z2[1] else None
-
-
-class FrozenInitSpinSpace(_SpinSpace):
-    """The sequence with the former ``_unpack``, ``__getitem__`` and
-    ``_member_mask``, verbatim but for the name of the characteristic test:
-    an element through the frozen ``__init__``, a call to ``_xor_lookup``
-    per read, and membership by two scans of c in Python."""
-
-    def _unpack(self, x: int) -> SpinStructure:
-        """The element whose mask is x, carrying it."""
-        s = SpinStructure(_bits(x, self._n))
-        s.__dict__["_mask"] = x
-        return s
-
-    def __getitem__(self, k):
-        count = self._sol.count
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(count))]
-        k = index(k)
-        if not -count <= k < count:
-            raise IndexError("spin structure index out of range")
-        # Mod2Solution.mask(k % count), one call fewer
-        x, tables = self._sol._tables
-        return self._unpack(x ^ _xor_lookup(tables, k % count, _TAIL))
-
-    def _member_mask(self, s) -> int | None:
-        """The mask of s if s equals an element, else None.  Equality is
-        the one a list of the elements applies: a ``SpinStructure`` whose c
-        is a tuple of n entries, each equal to 0 or 1."""
-        if (type(s) is not SpinStructure or not isinstance(s.c, tuple)
-                or not all(x == 0 or x == 1 for x in s.c)):
-            return None
-        return lookup_call_characteristic_mask(
-            self._p, SpinStructure(tuple(x == 1 for x in s.c)))
-
-
-def lookup_call_wu_coset_of_difference(
-    p: SurgeryPresentation, s1: SpinStructure, s2: SpinStructure
-) -> WuCoset:
-    """The former ``wu_coset_of_difference``, verbatim but for the name of
-    the characteristic test."""
-    delta = 0
-    for s in (s1, s2):
-        x = lookup_call_characteristic_mask(p, s)
-        if x is None:
-            raise InvalidSpinStructure(
-                f"vector {_QUOTE.repr(s.c)} fails the characteristic equation "
-                f"for {_QUOTE.repr(p.name)}"
-            )
-        delta ^= x
-    alpha, tables = gamma2_tables(p)
-    coords = _xor_lookup(tables, delta, _CHUNK)
-    memo = p._wu_cosets
-    coset = memo.get(coords)
-    if coset is None:
-        coset = WuCoset(Gamma2Element(_bits(coords, alpha)))
-        if len(memo) < _WU_COSET_CAP:
-            memo[coords] = coset
-    return coset
-
 
 @dataclasses.dataclass(frozen=True)
 class PostInitGamma2Element:
@@ -1468,163 +1493,6 @@ class PostInitGamma2Element:
                 or coords.count(0) + coords.count(1) != len(coords)):
             if any(b not in (0, 1) for b in coords):
                 raise ValueError("coordinates must be bits")
-
-
-class Index:
-    """An integer known to ``operator.index`` only."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def __index__(self):
-        return self.k
-
-
-class BitTuple(tuple):
-    pass
-
-
-def field_names(obj) -> list[str] | None:
-    """The field names of a dataclass or of a value type of the package
-    (``errors._Value``), read from the class's annotations; None for any
-    other object."""
-    if dataclasses.is_dataclass(obj):
-        return [f.name for f in dataclasses.fields(obj)]
-    if isinstance(obj, _Value):
-        return list(type(obj).__annotations__)
-    return None
-
-
-def object_state(obj):
-    """What two returned objects must share: the class, the instance dict
-    in order, the field names, hash and repr, each also after a pickle,
-    copy and ``type(o)(*fields)`` round trip, for a dataclass and for a
-    value type of the package alike; for a ``WuCoset`` the same of its
-    value.  A list gives the states of its items, any other value
-    itself."""
-    if isinstance(obj, list):
-        return [object_state(x) for x in obj]
-    names = field_names(obj)
-    if names is None:
-        return obj
-
-    def own(o):
-        return (type(o), list(o.__dict__.items()), field_names(o), outcome(hash, o), repr(o))
-
-    trips = (pickle.loads(pickle.dumps(obj)), copy.copy(obj),
-             type(obj)(*[getattr(obj, name) for name in names]))
-    inner = object_state(obj.value) if type(obj) is WuCoset else None
-    return own(obj), [own(o) for o in trips], inner
-
-
-def index_probe(rng, count: int):
-    """An index of each kind ``spins[k]`` takes or refuses."""
-    kind = rng.randrange(9)
-    k = rng.randrange(count)
-    if kind <= 2:
-        return k
-    if kind == 3:
-        return k - count
-    if kind == 4:
-        return rng.choice((True, False))
-    if kind == 5:
-        return Index(k if rng.random() < 0.8 else count)
-    if kind == 6:
-        start = rng.choice((k, k - count))
-        return slice(start, start + rng.randint(-3, 3), rng.choice((None, 1, 2, -1)))
-    if kind == 7:
-        return rng.choice((count, -count - 1, count + 2 ** 80, -2 ** 90))
-    return rng.choice((1.0, "0", None, 2 ** 0.5))
-
-
-def member_probe(rng, spins):
-    """A vector for ``in``, ``count`` and ``index``: an element, one with
-    entries True/False, 1.0 or -0.0, one of the wrong length, a list c, a
-    tuple subclass, entries outside {0, 1}, or no spin structure at all."""
-    n = spins._n
-    c = list(any_spin(rng, spins._p, spins).c if rng.random() < 0.7 else
-             [rng.randint(0, 1) for _ in range(n)])
-    kind = rng.randrange(8)
-    if kind == 1:
-        c = [bool(x) for x in c]
-    elif kind == 2 and n:
-        for j in rng.sample(range(n), rng.randint(1, n)):
-            c[j] = float(c[j]) if c[j] else rng.choice((0.0, -0.0))
-    elif kind == 3:
-        c = c[:-1] if c and rng.random() < 0.5 else c + [0]
-    elif kind == 4:
-        return SpinStructure(c)
-    elif kind == 5:
-        return SpinStructure(BitTuple(c))
-    elif kind == 6 and n:
-        c[rng.randrange(n)] = rng.choice((2, -1, "1", None))
-    elif kind == 7:
-        return rng.choice((tuple(c), None, "spin"))
-    return SpinStructure(tuple(c))
-
-
-def test_straight_line_spin_and_wu_match_lookup_call_reference():
-    """``spins[k]``, ``in``/``count``/``index`` and
-    ``wu_coset_of_difference`` against the former routines on 10,400
-    probes: the same value, with the same object state (``object_state``),
-    or the same exception type and message.  Indices include negative ones,
-    bools, ``__index__`` objects, slices, out-of-range and non-integer
-    ones; the Wu probes are those of the carried-mask test, each made once
-    and once more so that both the coset built and the coset kept are
-    compared, and a quarter of the presentations start with their memo at
-    the cap.  The former and the current routines run on two presentations
-    of one matrix, so neither reads the other's memo."""
-    rng = random.Random("straight-line")
-    results = Counter()
-    for n in STRAIGHT_SIZES:
-        spaces = []
-        for _ in range(2 if n == 64 else 12):
-            rows = moved_diagonal(rng, n)
-            old_p = SurgeryPresentation("d", IntSymMatrix(rows))
-            new_p = SurgeryPresentation("d", IntSymMatrix(rows))
-            if rng.random() < 0.25:
-                # memos already at the cap, with keys no coordinates take
-                for p in (old_p, new_p):
-                    p._wu_cosets.update((-1 - i, None) for i in range(_WU_COSET_CAP))
-            spaces.append((FrozenInitSpinSpace(old_p), spin_structures(new_p)))
-        for _ in range(STRAIGHT_PROBES):
-            own, foreign = rng.choice(spaces), rng.choice(spaces)
-            count = homology_profile(own[1]._p).spin_structure_count
-            k = index_probe(rng, count)
-            want = outcome(own[0].__getitem__, k)
-            assert object_state(outcome(own[1].__getitem__, k)) == object_state(want), k
-            results["read " + (type(want).__name__ if not isinstance(want, tuple)
-                               else want[0].__name__)] += 1
-
-            s = member_probe(rng, own[1])
-            start, stop = rng.choice(((0, None), (1, None), (0, 1), (-2, None)))
-            for method in ("__contains__", "count"):
-                assert outcome(getattr(own[1], method), s) == \
-                    outcome(getattr(own[0], method), s), s
-            want = outcome(own[0].index, s, start, stop)
-            assert outcome(own[1].index, s, start, stop) == want, s
-            results["member " + ("index" if isinstance(want, int) else "ValueError")] += 1
-
-            kind = rng.choice(CARRIED_KINDS)
-            old1, new1 = carried_probe(rng, kind, own, foreign)
-            old2, new2 = (carried_probe(rng, rng.choice(CARRIED_KINDS), own, foreign)
-                          if rng.random() < 0.3 else (own[0][0], own[1][0]))
-            want = outcome(lookup_call_wu_coset_of_difference, own[0]._p, old1, old2)
-            got = outcome(wu_coset_of_difference, own[1]._p, new1, new2)
-            assert object_state(got) == object_state(want), (new1, new2)
-            # again: the coset kept, or past the cap a new one
-            want_again = outcome(lookup_call_wu_coset_of_difference, own[0]._p, old1, old2)
-            got_again = outcome(wu_coset_of_difference, own[1]._p, new1, new2)
-            assert (got_again is got) == (want_again is want)
-            if got_again is not got:
-                assert object_state(got_again) == object_state(want_again), (new1, new2)
-                results["wu rebuilt"] += isinstance(want, WuCoset)
-            results["wu " + ("coset" if isinstance(want, WuCoset) else want[0].__name__)] += 1
-    assert sum(results[k] for k in results if k.startswith("read")) >= 10000
-    assert min(results.values()) >= 200 and set(results) == {
-        "read SpinStructure", "read list", "read IndexError", "read TypeError",
-        "member index", "member ValueError", "wu coset", "wu rebuilt",
-        "wu InvalidSpinStructure", "wu TypeError", "wu AttributeError"}, results
 
 
 def string_pass_parse_wu_coords(text: str, alpha: int) -> Gamma2Element:

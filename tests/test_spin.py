@@ -1,6 +1,5 @@
 """Spin structures and the quotient onto the Wu classes."""
 
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -95,8 +94,8 @@ class TestCarriedMask:
             s, built = spins[k], SpinStructure(spins[k].c)
             assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
             assert "_mask" in vars(s) and "_mask" not in vars(built)
-        assert [f.name for f in dataclasses.fields(SpinStructure)] == ["c"]
-        assert dataclasses.asdict(s) == {"c": s.c}
+        assert SpinStructure._fields == ("c",)
+        assert {name: getattr(s, name) for name in s._fields} == {"c": s.c}
 
 
 class _Sub(SpinStructure):

@@ -127,6 +127,19 @@ class TestGamma2:
             assert e + zero == e
             assert (e + e).is_zero
 
+    def test_adding_another_type_raises_type_error(self):
+        """An element plus anything but an element is Python's TypeError,
+        from either side."""
+        g = Gamma2Element((1, 0))
+        for other in (1, (1, 0), None, "10"):
+            assert g.__add__(other) is NotImplemented
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                g + other
+            with pytest.raises(TypeError):
+                other + g
+        with pytest.raises(ValueError, match="rank mismatch"):
+            g + Gamma2Element((1,))
+
     def test_even_torsion_positions(self):
         assert even_torsion_positions((1, 2, 6, 0, 0)) == [1, 2]
         assert even_torsion_positions((1, 3, 9)) == []

@@ -1,4 +1,4 @@
-"""The package's 20 value types (``errors._Value``) against dataclass twins.
+"""The package's 22 value types (``errors._Value``) against dataclass twins.
 
 Each twin below is the dataclass the type was declared as before it had a
 hand-written ``__init__``: the same fields, annotations, defaults and
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import pytest
 
-from imm5 import cli, embeddings, intlinalg, invariants, surgery, verify
+from imm5 import cli, embeddings, intlinalg, invariants, spin, surgery, verify
 from imm5.errors import _Value
 
 
@@ -76,6 +76,17 @@ class Gamma2Element:
                 or coords.count(0) + coords.count(1) != len(coords)):
             if any(b not in (0, 1) for b in coords):
                 raise ValueError("coordinates must be bits")
+
+
+@dataclass(frozen=True)
+class SpinStructure:
+    c: tuple[int, ...]
+    _mask = None  # no annotation: not a field
+
+
+@dataclass(frozen=True)
+class WuCoset:
+    value: Gamma2Element
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,7 @@ class CheckReport:
 REAL = {cls.__name__: cls for cls in (
     intlinalg.SmithDecomposition, intlinalg.SmithMod2, intlinalg.Mod2Solution,
     surgery.SurgeryPresentation, surgery.HomologyProfile, surgery.Gamma2Element,
+    spin.SpinStructure, spin.WuCoset,
     embeddings.SpinBoundarySignatures, embeddings.EmbeddingClassSet,
     cli.ManifoldData, cli.SeifertData,
     invariants.SeifertFillingR5, invariants.SeifertFillingR6,
@@ -259,8 +271,8 @@ def instance(rng, cls):
             return obj
 
 
-def test_twins_cover_the_twenty_types():
-    assert len(PAIRS) == 20
+def test_twins_cover_every_value_type():
+    assert len(PAIRS) == 22
     assert all(issubclass(real, _Value) and dataclasses.is_dataclass(twin)
                for real, twin in PAIRS)
 
@@ -381,3 +393,20 @@ def test_cached_properties_leave_the_value_alone():
         # repr, since the itemgetter Mod2Solution caches has no ==
         for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj)):
             assert repr(list(vars(back).items())) == repr(list(vars(obj).items()))
+
+
+def test_carried_mask_stays_out_of_the_value():
+    """A spin structure that carries its mask in its instance dict, as the
+    elements of ``spin_structures`` do, has the ==, hash and repr of one
+    built from c alone, and of the twin carrying the same mask."""
+    p = surgery.SurgeryPresentation("m", intlinalg.IntSymMatrix([[0] * 5 for _ in range(5)]))
+    spins = spin.spin_structures(p)
+    for k in range(len(spins)):
+        s = spins[k]
+        built, tw = spin.SpinStructure(s.c), SpinStructure(s.c)
+        vars(tw)["_mask"] = s._mask
+        assert list(vars(s)) == ["c", "_mask"] and list(vars(built)) == ["c"]
+        assert s == built and not s != built
+        assert hash(s) == hash(built) == hash(tw)
+        assert repr(s) == repr(built) == repr(tw) == f"SpinStructure(c={s.c!r})"
+        assert state(s) == state(tw)
