@@ -202,7 +202,7 @@ def _record(obj, rid: str, cls):
 # ManifoldFile
 # ----------------------------------------------------------------------
 
-class ManifoldData(_Value, frozen=False):
+class ManifoldData(_Value):
     presentation: SurgeryPresentation
     profile: HomologyProfile
     signatures: SpinBoundarySignatures | None
@@ -308,7 +308,7 @@ def load_manifold(ref, base_dir: str | None = None) -> ManifoldData:
 # SeifertDataFile
 # ----------------------------------------------------------------------
 
-class SeifertData(_Value, frozen=False):
+class SeifertData(_Value):
     manifold: ManifoldData | None
     double_data: ImmersionDoubleData | None
     fillings_r5: list[tuple[str, SeifertFillingR5]]

@@ -74,21 +74,16 @@ class _Value:
     it extends.  Its ``__init__`` stores them through ``_set``.  It gets the
     repr ``Name(field=value, ...)``, ``==`` on the fields within one class
     (NotImplemented across classes), the hash of the tuple of its fields,
-    and refuses assignment and deletion of attributes.  With
-    ``frozen=False`` instances stay mutable and are unhashable.  Instances
-    keep a ``__dict__``, which ``cached_property`` writes to and pickle and
+    and refuses assignment and deletion of attributes.  Instances keep a
+    ``__dict__``, which ``cached_property`` writes to and pickle and
     copy restore.
     """
 
     _fields: tuple = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = (*cls._fields, *cls.__annotations__)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _set(self, *values) -> None:
         """Stores values as the fields, in order, straight into the instance

@@ -17,7 +17,7 @@ Gauss-Jordan loop, which keys its pivot rows by their lowest set bit,
 serves that pass and ``solve_mod2``.  A solution set is never listed:
 solution k is read off tables of kernel combinations
 (``Mod2Solution.mask``), ``Mod2Solution.masks`` streams them, and
-``Mod2Solution.index`` reads k back off the free columns of a mask.
+``Mod2Solution.index`` reads k back, a bit per free column of a mask.
 ``_xor_tables`` builds those tables and the one table set per
 presentation that makes q x mod 2 and the Gamma2 coordinates a few
 lookups (``surgery``); ``_xor_lookup`` reads them, and ``spin`` walks
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd, prod
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import _QUOTE, AsymmetricMatrix, NoSolution, _cached, _Value
@@ -685,22 +684,22 @@ class Mod2Solution(_Value):
         return x ^ _xor_lookup(tables, k, _TAIL)
 
     @_cached
-    def _free_digits(self) -> itemgetter:
-        """Picks the free column of each kernel vector, its top bit, in
-        kernel order, out of a mask's binary digits least significant first
-        (``index``)."""
-        return itemgetter(*(_mask(vec).bit_length() - 1 for vec in self.kernel))
+    def _free_columns(self) -> tuple[int, ...]:
+        """The free column of each kernel vector, its top bit, in kernel
+        order (``index``)."""
+        return tuple(_mask(vec).bit_length() - 1 for vec in self.kernel)
 
     def index(self, x: int) -> int:
         """The k whose ``mask(k)`` agrees with x on the free columns, so
         ``mask(index(x)) == x`` exactly when x is a solution.  For a
         Gauss-Jordan pass each kernel vector has its free column as its top
         bit, which no other kernel vector sets, so the bits of k are those
-        columns' bits of x XOR the particular solution, read at C speed."""
-        if not self.kernel:
-            return 0
-        digits = f"{x ^ self._tables[0]:0{len(self.particular)}b}"[::-1]
-        return int("".join(self._free_digits(digits)), 2)
+        columns' bits of x XOR the particular solution."""
+        x ^= self._tables[0]
+        k = 0
+        for f in self._free_columns:
+            k = (k << 1) | ((x >> f) & 1)
+        return k
 
     def masks(self) -> Iterator[int]:
         """``mask(0)``, ``mask(1)``, ... streamed: each head ``mask(k)``

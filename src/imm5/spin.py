@@ -13,8 +13,7 @@ its one Z2 reduction, and unpacks a mask to a ``SpinStructure`` tuple
 only when that element is read; membership and ``index`` go the other
 way, from a vector to its mask and its position.  The element read
 carries the mask it was unpacked from, outside its fields, so the maps
-below do not encode c again; a ``SpinStructure`` built with c a
-tuple stores its mask the same way on first use.
+below do not encode c again.
 
 The maps below are a few table lookups ("Four Russians": Arlazarov,
 Dinic, Kronrod and Faradzev 1970), not loops over the link components.
@@ -24,36 +23,35 @@ call.
 
 * ``spins[k]`` with k an ``int`` in range walks the solution tables once
   and writes c and the mask straight into the instance dict of the new
-  ``SpinStructure``, the state its ``__init__`` and a stored mask would
+  ``SpinStructure``, the state its ``__init__`` and a carried mask would
   leave.  Any other k (a bool, a negative or ``__index__`` index)
   is normalised first, a slice reads its elements, and an index out of
   range raises IndexError.
 * The Wu map takes s1 and then s2.  Each argument's mask is the one a
   spin structure of the right length carries, or is read off c by
-  ``_argument_mask``: at C speed for a tuple of small entries, stored on
-  a ``SpinStructure`` whose c is a tuple, and an InvalidSpinStructure for
-  a c of the wrong length.  One walk of the mask over the presentation's
-  one set of XOR tables (``SurgeryPresentation._wu_tables``, a lookup per
-  four link components) gives y: the Gamma2 coordinates of the mask, with
-  q c mod 2 above them.  The argument is characteristic when that upper
-  part is the kept diagonal mask, checked on every call.  Once both pass,
-  the upper parts cancel, and y1 XOR y2 is the coordinate mask of the
-  difference, coordinate i at bit i.  Gamma2 has 2**alpha elements, so
-  the presentation keeps the ``WuCoset`` of each coordinate mask it has
-  met (``SurgeryPresentation._wu_cosets``) and returns that one immutable
+  ``_argument_mask``, which raises InvalidSpinStructure for a c of the
+  wrong length; neither argument is written to.  One walk of the mask
+  over the presentation's one set of XOR tables
+  (``SurgeryPresentation._wu_tables``, a lookup per four link components)
+  gives y: the Gamma2 coordinates of the mask, with q c mod 2 above them.
+  The argument is characteristic when that upper part is the kept
+  diagonal mask, checked on every call.  Once both pass, the upper parts
+  cancel, and y1 XOR y2 is the coordinate mask of the difference,
+  coordinate i at bit i.  Gamma2 has 2**alpha elements, so the
+  presentation keeps the ``WuCoset`` of each coordinate mask it has met
+  (``SurgeryPresentation._wu_cosets``) and returns that one immutable
   object again; past _WU_COSET_CAP cosets a new one is built and not
   kept, so the memo does not grow with the number of calls.
-* Membership, ``count`` and ``index`` read the entries of c equal to 1,
-  and count the rest as equal to 0, at C speed.  The mask x is an
-  element when the solution read back at its position,
-  ``mask(index(x))``, is x itself.
+* Membership, ``count`` and ``index`` read the mask of the entries of c
+  equal to 1, the rest being equal to 0.  The mask x is an element when
+  the solution read back at its position, ``mask(index(x))``, is x
+  itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import repeat
-from operator import eq, index
+from operator import index
 
 from .errors import _QUOTE, InvalidSpinStructure, _Value
 from .intlinalg import _CHUNK, _TAIL
@@ -61,8 +59,6 @@ from .surgery import Gamma2Element, SurgeryPresentation
 
 # _BYTE_BITS[b] is the byte b as 8 bits, least significant first
 _BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
-# _PARITY_DIGITS maps the byte b to the ASCII digit of b mod 2
-_PARITY_DIGITS = bytes(b"01"[b & 1] for b in range(256))
 # Wu cosets a presentation keeps: all of Gamma2 up to alpha = 10
 _WU_COSET_CAP = 1024
 # the low bits of a mask that index one XOR table, _TAIL or _CHUNK wide
@@ -89,15 +85,12 @@ def _bits(x: int, n: int) -> tuple[int, ...]:
 class SpinStructure(_Value):
     """Indicator vector of a characteristic sublink.
 
-    An instance may carry the bitmask of c (bit j is c_j mod 2) as
-    ``_mask`` in its instance dict, outside the fields, so equality,
-    hashing and ``repr`` see c alone.  ``spin_structures`` builds its
-    elements with c and the mask they were decoded from written straight
-    into that dict; an instance built with c a tuple stores its mask on
-    the first Wu call it is handed to.  A c of any other type is read
-    afresh on every call.  A carried mask saves reading c again, never the
-    test: every Wu call checks both of its arguments against the
-    presentation it is given.
+    An element of ``spin_structures`` carries the bitmask of c (bit j is
+    c_j mod 2) as ``_mask`` in its instance dict, outside the fields, so
+    equality, hashing and ``repr`` see c alone.  An instance built from c
+    carries none, and its c is read afresh on every Wu call.  A carried
+    mask saves reading c again, never the test: every Wu call checks both
+    of its arguments against the presentation it is given.
     """
 
     c: tuple[int, ...]
@@ -106,16 +99,6 @@ class SpinStructure(_Value):
     def __init__(self, c: tuple[int, ...]) -> None:
         # stored directly, as in Gamma2Element, without a call to _set
         object.__setattr__(self, "c", c)
-
-    # equality and hash read the one field directly, as the dataclass's did:
-    # a list or set of the elements compares them in bulk
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.c,) == (other.c,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.c,))
 
 
 class WuCoset(_Value):
@@ -131,37 +114,18 @@ class WuCoset(_Value):
         object.__setattr__(self, "value", value)
 
 
-def _parity_mask(c) -> int:
-    """The vector c as a bitmask, bit j is c_j mod 2.
-
-    A tuple of entries 0..255 becomes the mask at C speed, as binary
-    digits with c_{n-1} leading (``bytes`` of another type may copy a raw
-    buffer).  Any other vector takes the loop, which raises the TypeError
-    of ``entry & 1`` for an entry that is not an integer.
-    """
-    if type(c) is tuple:
-        try:
-            return int(bytes(c).translate(_PARITY_DIGITS)[::-1] or b"0", 2)
-        except (TypeError, ValueError):
-            pass
+def _argument_mask(p: SurgeryPresentation, s: SpinStructure) -> int:
+    """The mask of a Wu-map argument that carries no mask of the right
+    length, read off c: bit j is c_j mod 2, and an entry that is not an
+    integer raises the TypeError of ``entry & 1``.  A c of the wrong length
+    raises InvalidSpinStructure.  Nothing is written to s."""
+    c = s.c
+    if len(c) != p.n:
+        raise _not_characteristic(p, s)
     x = 0
     for j, bit in enumerate(c):
         if bit & 1:
             x |= 1 << j
-    return x
-
-
-def _argument_mask(p: SurgeryPresentation, s: SpinStructure) -> int:
-    """The mask of a Wu-map argument that carries no mask of the right
-    length: c read by ``_parity_mask`` and, when s is a ``SpinStructure``
-    whose c is a tuple, stored on s.  A c of the wrong length raises
-    InvalidSpinStructure."""
-    c = s.c
-    if len(c) != p.n:
-        raise _not_characteristic(p, s)
-    x = _parity_mask(c)
-    if type(s) is SpinStructure and type(c) is tuple:
-        s.__dict__["_mask"] = x
     return x
 
 
@@ -223,15 +187,17 @@ class _SpinSpace(Sequence):
         equal one; whether the mask solves the equation is ``_position``'s
         test.  Equality is the one a list of the elements applies: a
         ``SpinStructure`` whose c is a tuple of n entries, each equal to 0
-        or 1.  The entries equal to 1 are found, and the rest counted as
-        equal to 0, at C speed."""
-        if type(s) is not SpinStructure or not isinstance(s.c, tuple):
+        or 1; bit j is set when c_j equals 1."""
+        if (type(s) is not SpinStructure or not isinstance(s.c, tuple)
+                or len(s.c) != self._n):
             return None
-        c = s.c
-        ones = bytes(map(eq, c, repeat(1)))
-        if len(c) != self._n or c.count(0) + ones.count(1) != len(c):
-            return None
-        return int(ones.translate(_PARITY_DIGITS)[::-1] or b"0", 2)
+        x = 0
+        for j, entry in enumerate(s.c):
+            if entry == 1:
+                x |= 1 << j
+            elif not entry == 0:  # ==, as a list compares, not !=
+                return None
+        return x
 
     def _position(self, s) -> int | None:
         """The k with ``self[k] == s``, else None.  The position of the

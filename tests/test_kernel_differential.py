@@ -1011,8 +1011,8 @@ def carried_probe(rng, kind, spins, foreign):
     """A vector of the given kind for the Wu map of the presentation of
     ``spins``; ``foreign`` is the sequence of another presentation of the
     same n.  "copy", "pickle" and "replace" (a rebuild from c) start from a
-    spin structure that carries its mask, or a user-built one that stored
-    it on a first Wu call."""
+    spin structure that carries its mask, or a user-built one already
+    handed to a Wu call."""
     if kind in ("spin", "foreign"):
         own = spins if kind == "spin" else foreign
         return any_spin(rng, own._p, own)
@@ -1151,18 +1151,16 @@ def wu_verdict(p: SurgeryPresentation, s, spin: SpinStructure):
     ``SpinReference.mask``.  s goes into both argument positions against
     ``spin``, a spin structure of p, and both must agree: None when both
     raise InvalidSpinStructure, the type and message of any other exception
-    both raise, else the mask s carries afterwards.  That must be stored
-    when s is a ``SpinStructure`` whose c is a tuple; any other s stores
-    none, and its mask is read off c here."""
+    both raise, else the mask of c.  Either way the calls leave the
+    instance dict of s as it was."""
+    before = list(getattr(s, "__dict__", {}).items())
     first = outcome(wu_coset_of_difference, p, s, spin)
     second = outcome(wu_coset_of_difference, p, spin, s)
+    assert list(getattr(s, "__dict__", {}).items()) == before, s
     if not isinstance(first, WuCoset):
         assert second == first, (s, first, second)
         return None if first[0] is InvalidSpinStructure else first
     assert isinstance(second, WuCoset) and second.value == first.value, s
-    if type(s) is SpinStructure and type(s.c) is tuple:
-        return vars(s).get("_mask")
-    assert "_mask" not in vars(s), s
     return _mask(s.c)
 
 
@@ -1266,10 +1264,9 @@ def test_carried_masks_and_memo_match_uncached_reference():
     user-built tuples, lists, bools, negative entries, entries past 2**64,
     the wrong length, floats, arguments that are not spin structures, and
     copy, pickle and rebuilt spin structures.  Each goes through two
-    rounds: the second reads the masks the first stored, and a list c is
-    changed in place between them, so it must be read afresh.  Every Wu
-    call is made twice and checked against the memo contract
-    (``memo_wu``)."""
+    rounds, and a list c is changed in place between them, so it must be
+    read afresh.  Every Wu call is made twice and checked against the memo
+    contract (``memo_wu``)."""
     rng = random.Random("carried-masks")
     kinds, results = Counter(), Counter()
     foreign_rejected = probes = 0
@@ -1760,7 +1757,7 @@ def test_coset_parsing_and_offsets_match_string_pass_reference():
 
 # ----------------------------------------------------------------------
 # One table set for the Wu map, against an independent computation, and
-# Mod2Solution.index at C speed against the loop it replaced
+# Mod2Solution.index against a frozen loop
 # ----------------------------------------------------------------------
 
 WU_TABLE_SIZES = (0, 1, 4, 5, 16, 17, 199)
@@ -1829,8 +1826,9 @@ def test_wu_tables_match_independent_stacked_map():
 
 
 class LoopIndexMod2Solution(Mod2Solution):
-    """``Mod2Solution`` with the former ``_free_columns`` and ``index``,
-    verbatim."""
+    """``Mod2Solution`` with ``_free_columns`` and ``index`` as the loop
+    that a digit-string ``index`` once replaced and the package runs again,
+    frozen here as the reference."""
 
     @cached_property
     def _free_columns(self) -> tuple[int, ...]:
@@ -1854,12 +1852,11 @@ INDEX_SYSTEMS = 1500
 
 
 def test_index_digits_match_loop_reference():
-    """``Mod2Solution.index``, which picks k's digits out of a formatted
-    mask, against the loop it replaced, on 1,500 seeded systems with
-    kernels of dimension 0, 1 and up to 70: symmetric q c = diag q and
-    rectangular systems.  Probes are 0, every solution read back, and
-    masks with pivot bits set at random, which are no solution; x is a
-    solution exactly when ``mask(index(x)) == x``."""
+    """``Mod2Solution.index`` against the frozen loop, on 1,500 seeded
+    systems with kernels of dimension 0, 1 and up to 70: symmetric
+    q c = diag q and rectangular systems.  Probes are 0, every solution
+    read back, and masks with pivot bits set at random, which are no
+    solution; x is a solution exactly when ``mask(index(x)) == x``."""
     rng = random.Random("index-digits")
     dims, results = Counter(), Counter()
     for k in range(INDEX_SYSTEMS):

@@ -25,12 +25,13 @@ def _pres(rows, name="m"):
 
 def _wu_accepts(p, s) -> bool:
     """The Wu map's verdict on s: it maps s against an element of p in
-    both argument positions, raising if s is not characteristic, and s
-    then carries the mask of c."""
+    both argument positions, raising if s is not characteristic, and
+    leaves the instance dict of s as it was."""
+    before = list(vars(s).items())
     base = spin_structures(p)[0]
     wu_coset_of_difference(p, s, base)
     wu_coset_of_difference(p, base, s)
-    return vars(s).get("_mask") == sum(1 << j for j, b in enumerate(s.c) if b & 1)
+    return list(vars(s).items()) == before
 
 
 class TestEnumeration:
@@ -96,6 +97,27 @@ class TestCarriedMask:
             assert "_mask" in vars(s) and "_mask" not in vars(built)
         assert SpinStructure._fields == ("c",)
         assert {name: getattr(s, name) for name in s._fields} == {"c": s.c}
+
+    def test_reads_write_nothing_into_their_arguments(self):
+        """The Wu map in both argument positions, ``in``, ``count`` and
+        ``index`` leave the instance dict of a user-built spin structure,
+        with c a tuple or a list, and of an element as they were."""
+        p = _pres([[2, 1, 0], [1, 0, 0], [0, 0, 0]])
+        spins = spin_structures(p)
+        listed = list(spins)
+        element = spins[len(spins) - 1]
+        for s in (SpinStructure(element.c), SpinStructure(list(element.c)), element):
+            before = list(vars(s).items())
+            for other in listed:
+                wu_coset_of_difference(p, s, other)
+                wu_coset_of_difference(p, other, s)
+            assert (s in spins, spins.count(s)) == (s in listed, listed.count(s))
+            if s in listed:
+                assert spins.index(s) == listed.index(s)
+            else:
+                with pytest.raises(ValueError):
+                    spins.index(s)
+            assert list(vars(s).items()) == before, s
 
 
 class _Sub(SpinStructure):
