@@ -9,10 +9,11 @@ defined mod 24: shifting a base signature by 16 shifts i by 24.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import _QUOTE, CosetUncovered, HypothesisViolated, ParityViolation, _Value
-from .surgery import Gamma2Element, HomologyProfile, gamma2_elements
+from .surgery import Gamma2Element, HomologyProfile
 
 if TYPE_CHECKING:  # an annotation only, so analyze and embeddings skip invariants
     from .invariants import RegHomotopyClass
@@ -57,11 +58,13 @@ def embedding_classes(h: HomologyProfile,
 
     Every coset must carry at least one base signature (each Wu class
     does contain embeddings, so an empty entry is a data error), and
-    every base signature must have the parity of alpha.
+    every base signature must have the parity of alpha.  The cosets are
+    walked lazily, the zero element first, so a block that misses one
+    raises after at most one lookup more than it has entries.
     """
     alpha, per_coset = h.alpha, sig.per_coset
     offsets: dict[Gamma2Element, frozenset[int]] = {}
-    for coset in gamma2_elements(h):
+    for coset in map(Gamma2Element, itertools.product((0, 1), repeat=alpha)):
         sigs = per_coset.get(coset)
         if not sigs:
             raise CosetUncovered(

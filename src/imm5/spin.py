@@ -139,8 +139,8 @@ class _SpinSpace(Sequence):
 
     def _unpack(self, x: int) -> SpinStructure:
         """The element whose mask is x, carrying it: its instance dict gets
-        c and the mask directly, as ``__init__`` and a stored mask would
-        leave it."""
+        c, as ``__init__`` would store it, and the mask, outside the
+        fields."""
         s = _new(SpinStructure)
         d = s.__dict__
         d["c"] = _bits(x, self._n)

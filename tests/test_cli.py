@@ -220,6 +220,30 @@ class TestEmbeddingsCommand:
         assert code == 2
         assert "CosetUncovered" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["act", "--wu", "0" * 64, "--i", "0", "--omega", "0"], ["embeddings"],
+    ], ids=["act", "embeddings"])
+    def test_first_uncovered_coset_at_alpha_64(self, capsys, tmp_path, monkeypatch, argv):
+        """diag(2, ..., 2) at alpha = 64 has 2**64 Wu cosets.  A block that
+        covers only the zero coset is refused, naming 0...01, after at most
+        one lookup more than the block has entries."""
+        lookups = []
+
+        class Counted(dict):  # embedding_classes looks a coset up with get
+            def get(self, coset, default=None):
+                lookups.append(coset)
+                return super().get(coset, default)
+
+        monkeypatch.setattr("imm5.cli.SpinBoundarySignatures",
+                            lambda per_coset: SpinBoundarySignatures(Counted(per_coset)))
+        path = write_json(tmp_path, "a64.json", {
+            "linking_matrix": [[2 * (i == j) for j in range(64)] for i in range(64)],
+            "spin_boundary_signatures": {"0" * 64: [0]}})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"CosetUncovered: no base signature supplied for Wu coset {'0' * 63}1\n"
+        assert 1 <= len(lookups) <= 1 + 1  # the block's one entry, and one more
+
 
 class TestVerifyCommand:
     def test_corollaries(self, capsys):

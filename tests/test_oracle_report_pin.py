@@ -5,7 +5,7 @@ exit code, stdout and stderr must match
 ``data/oracle_reports.expected.json``: the battery names, trial counts,
 failure lines, verdict and exit code.  The random draws behind them are
 pinned by ``test_oracle_reference.py``, which compares each battery's
-final generator state with that of its former version.
+final generator state with ``data/oracle_draws.expected.json``.
 
 The module needs the standard library alone, so that interpreters
 without pytest run it too.  The expected file was written by running it
