@@ -36,9 +36,8 @@ _EXPORTS = {name: module for module, names in {
         "ParityViolation", "ParseError", "WuMismatch",
     ),
     "intlinalg": (
-        "IntSymMatrix", "Mod2Solution", "SmithDecomposition", "SmithMod2",
-        "congruence", "det_int", "signature", "smith_mod2", "smith_normal_form",
-        "solve_mod2",
+        "IntSymMatrix", "Mod2Solution", "SmithDecomposition", "congruence",
+        "det_int", "signature", "smith_normal_form", "solve_mod2",
     ),
     "invariants": (
         "ImmersionDoubleData", "RegHomotopyClass", "SeifertFillingR5",

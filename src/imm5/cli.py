@@ -528,14 +528,12 @@ def embeddings_report(m: ManifoldData) -> dict:
         raise CosetUncovered(
             "manifold file carries no spin_boundary_signatures block")
     classes = embedding_classes(m.profile, m.signatures)
-    cosets = []
-    for coset in gamma2_elements(m.profile):
-        offsets = classes.offsets_mod_24[coset]
-        cosets.append({
-            "coset": str(coset),
-            "offsets_mod_24": sorted(offsets),
-            "description": describe_offsets(offsets),
-        })
+    # embedding_classes fills its offsets in gamma2_elements order
+    cosets = [{
+        "coset": str(coset),
+        "offsets_mod_24": sorted(offsets),
+        "description": describe_offsets(offsets),
+    } for coset, offsets in classes.offsets_mod_24.items()]
     return {
         "command": "embeddings",
         "name": m.presentation.name,

@@ -4,11 +4,13 @@ a matrix is reduced.
 Smith normal form, invariant factors modulo the determinant, signatures
 and determinants, and GF(2) linear algebra on int bitmask rows.  One
 Smith pivot loop serves ``smith_normal_form``, with both unimodular
-transforms, and ``smith_mod2``, with the factors and u^{-1} mod 2 only,
-so no transform entry grows.  An ``IntSymMatrix`` q is reduced once over
-Z and once over Z2, on first use, and keeps both results: one symmetric
-Bareiss pass, on the upper triangle of the live block, gives the
-signature, det q and an (n-1)-minor, from which
+transforms, and ``_smith_mod2``, with the factors and u^{-1} mod 2 only,
+so no transform entry grows.  ``_as_rect`` reads every rectangular
+matrix and ``IntSymMatrix`` every symmetric one; ``det_int``, which the
+oracles use, keeps its own reader.  An ``IntSymMatrix`` q is reduced
+once over Z and once over Z2, on first use, and keeps both results: one
+symmetric Bareiss pass, on the upper triangle of the live block, gives
+the signature, det q and an (n-1)-minor, from which
 ``_factors_mod_det`` finds the factors of a nonsingular q modulo a
 divisor of det q; one Gauss-Jordan pass on q mod 2, augmented by diag q
 mod 2, solves q c = diag q, whose kernel is ker(q mod 2).  Over Z2 a row
@@ -109,12 +111,6 @@ def _int_row(row) -> tuple[int, ...]:
     return row if set(map(type, row)) <= {int} else tuple(map(int, row))
 
 
-def _as_row_lists(a: IntSymMatrix | Rows) -> list[list[int]]:
-    if isinstance(a, IntSymMatrix):
-        return a.row_lists()
-    return [list(map(int, row)) for row in a]
-
-
 def _identity(n: int) -> list[list[int]]:
     rows = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
@@ -126,11 +122,11 @@ def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-def congruence(a: IntSymMatrix, g: Rows) -> IntSymMatrix:
-    """The congruent matrix g^T a g (g any square integer matrix)."""
-    gl = _as_row_lists(g)
+def congruence(a: IntSymMatrix, g: IntSymMatrix | Rows) -> IntSymMatrix:
+    """The congruent matrix g^T a g, for g an integer matrix of a's size."""
+    gl, rows, cols = _as_rect(g)
     n = a.n
-    if len(gl) != n:
+    if rows != n or cols != n:
         raise ValueError("dimension mismatch in congruence")
     ag = [[sum(a.entries[i][k] * gl[k][j] for k in range(n)) for j in range(n)]
           for i in range(n)]
@@ -226,22 +222,6 @@ class SmithDecomposition(_Value):
         self._set(u, v, s, invariant_factors)
 
 
-class SmithMod2(_Value):
-    """Invariant factors of a and the inverse of the left transform u of
-    u*a*v = s, mod 2.
-
-    ``u_inverse_mod2[i]`` is column i of u^{-1} as a bitmask (bit j holds
-    u^{-1}[j][i] mod 2).  The elimination is the one ``smith_normal_form``
-    runs, so this is the inverse of that routine's u, reduced mod 2.
-    """
-
-    invariant_factors: tuple[int, ...]
-    u_inverse_mod2: tuple[int, ...]
-
-    def __init__(self, invariant_factors, u_inverse_mod2) -> None:
-        self._set(invariant_factors, u_inverse_mod2)
-
-
 class _IntRows:
     """Exact integer rows, starting from the identity, that replay row
     operations (a column operation on v is a row operation on v^T)."""
@@ -302,7 +282,9 @@ def _swap_cols(a: list[list[int]], j0: int, j1: int) -> None:
 
 
 def _as_rect(a: IntSymMatrix | Rows) -> tuple[list[list[int]], int, int]:
-    A = _as_row_lists(a)
+    """(a as fresh lists of ints, its row count, its column count); entries
+    go through ``int()``, and ragged rows raise ValueError."""
+    A = a.row_lists() if isinstance(a, IntSymMatrix) else [list(map(int, row)) for row in a]
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
@@ -399,16 +381,17 @@ def smith_normal_form(a: IntSymMatrix | Rows) -> SmithDecomposition:
     return SmithDecomposition(_freeze(u.rows), tuple(zip(*vt.rows)), _freeze(A), factors)
 
 
-def smith_mod2(a: IntSymMatrix | Rows) -> SmithMod2:
-    """Invariant factors and u^{-1} mod 2 of ``smith_normal_form(a)``.
+def _smith_mod2(rows: list[list[int]]) -> tuple[tuple[int, ...], list[int]]:
+    """(invariant factors, columns of u^{-1} mod 2) of the Smith form
+    u*a*v = s that ``smith_normal_form`` computes, for a matrix given as
+    lists of ints, which are consumed.
 
-    Runs the same elimination but keeps u^{-1} over Z2 and no v at all,
-    so no transform entry grows; only the entries of a itself do.
+    Column i is a bitmask: bit j holds u^{-1}[j][i] mod 2.  The elimination
+    is the same, but it keeps u^{-1} over Z2 and no v at all, so no
+    transform entry grows; only the entries of a itself do.
     """
-    A, m, _ = _as_rect(a)
-    u_inverse = _Mod2InverseCols(m)
-    factors = _smith_reduce(A, u_inverse, None)
-    return SmithMod2(factors, tuple(u_inverse.cols))
+    u_inverse = _Mod2InverseCols(len(rows))
+    return _smith_reduce(rows, u_inverse, None), u_inverse.cols
 
 
 def _factors_mod_det(a: IntSymMatrix | Rows, d: int, minor: int) -> tuple[int, ...]:
@@ -429,10 +412,9 @@ def _factors_mod_det(a: IntSymMatrix | Rows, d: int, minor: int) -> tuple[int, .
     columns that had no unit entry, form a small block; its Smith
     diagonal s gives the factors gcd(s_i, m), with gcd(0, m) = m.  No
     entry ever exceeds m.  The result is the tuple
-    ``smith_mod2(a).invariant_factors``.
+    ``smith_normal_form(a).invariant_factors``.
     """
-    rows = _as_row_lists(a)
-    n = len(rows)
+    rows, n, _ = _as_rect(a)
     m = gcd(d, minor)
     factors = [1] * n
     if m > 1:
@@ -476,11 +458,12 @@ def signature(a: IntSymMatrix | Rows) -> int:
 
     Returns (#positive - #negative eigenvalues) by symmetric congruence
     reduction in integers only; see ``_signature_det``.  The empty
-    matrix has signature 0.  An ``IntSymMatrix`` keeps its pass.
+    matrix has signature 0.  Rows that are not square and symmetric raise
+    AsymmetricMatrix.  An ``IntSymMatrix`` keeps its pass.
     """
-    if isinstance(a, IntSymMatrix):
-        return a._over_z[0]
-    return _signature_det(_as_row_lists(a))[0]
+    if not isinstance(a, IntSymMatrix):
+        a = IntSymMatrix(a)
+    return a._over_z[0]
 
 
 def _signature_det(M: list[list[int]]) -> tuple[int, int, int]:

@@ -20,7 +20,7 @@ per even torsion factor.
   delta has the one Wu coordinate [delta = k] whatever basis Gamma2 is
   given: the single generator is the lowest set bit of k, and alpha = 0
   has none.
-* Otherwise (q singular, or alpha >= 2) ``smith_mod2`` runs the Smith
+* Otherwise (q singular, or alpha >= 2) ``_smith_mod2`` runs the Smith
   elimination u q v = s and keeps u^{-1} mod 2.  The generator of the
   i-th Smith factor is column i of u^{-1} mod 2, the Smith generator
   u^{-1} e_i reduced mod 2.  For alpha >= 2 the coordinates depend on
@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import _cached, _Value
-from .intlinalg import _CHUNK, IntSymMatrix, _factors_mod_det, _xor_tables, smith_mod2
+from .intlinalg import _CHUNK, IntSymMatrix, _factors_mod_det, _smith_mod2, _xor_tables
 
 
 class SurgeryPresentation(_Value):
@@ -67,10 +67,8 @@ class SurgeryPresentation(_Value):
                 # the lowest set bit of the nonzero k in ker(q mod 2)
                 return (_factors_mod_det(self.q, abs(det), minor),
                         tuple(1 << k.index(1) for k in kernel))
-        smith = smith_mod2(self.q)
-        factors = smith.invariant_factors
-        return factors, tuple(smith.u_inverse_mod2[i]
-                              for i in even_torsion_positions(factors))
+        factors, cols = _smith_mod2(self.q.row_lists())
+        return factors, tuple(cols[i] for i in even_torsion_positions(factors))
 
     @property
     def gamma2_generators(self) -> tuple[int, ...]:

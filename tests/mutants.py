@@ -193,6 +193,21 @@ MUTANTS = (
            "elif not entry == 0:", "elif False:", (STRAIGHT,)),
     Mutant("_position returning a wrong k for odd masks", SPIN,
            "k = sol.index(x)", "k = sol.index(x) ^ (x & 1)", (STRAIGHT,)),
+    # shapes the matrix readers check, and the Smith route's generators
+    Mutant("signature computing on unchecked rows", LINTRA,
+           "        a = IntSymMatrix(a)\n    return a._over_z[0]",
+           "        return _signature_det([list(map(int, row)) for row in a])[0]\n"
+           "    return a._over_z[0]",
+           ids("test_intlinalg", *(
+               f"TestSignature::test_rows_that_are_not_symmetric_are_refused[{shape}]"
+               for shape in ("asymmetric", "wide", "tall")))),
+    Mutant("congruence without its n x n check", LINTRA,
+           "if rows != n or cols != n:", "if rows != n:",
+           ids("test_intlinalg", "TestCongruence::test_transform_of_another_size_is_refused")),
+    Mutant("_h1 reading the wrong column of u^-1", "src/imm5/surgery.py",
+           "cols[i] for i in", "cols[i + 1] for i in",
+           ids("test_kernel_differential", "test_homology_routes_match_smith_route")
+           + ids("test_gamma2_pin", "test_gamma2_generators_and_wu_coordinates_are_pinned[0]")),
     Mutant("Gamma2Element bit check removed", "src/imm5/surgery.py",
            'raise ValueError("coordinates must be bits")', "pass",
            ids("test_kernel_differential",

@@ -1,6 +1,7 @@
 """Command-line interface, file formats and report round-trips."""
 
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -243,6 +244,28 @@ class TestEmbeddingsCommand:
         assert (code, out) == (2, "")
         assert err == f"CosetUncovered: no base signature supplied for Wu coset {'0' * 63}1\n"
         assert 1 <= len(lookups) <= 1 + 1  # the block's one entry, and one more
+
+    def test_report_walks_gamma2_once(self, capsys, tmp_path, monkeypatch):
+        """With a full block at alpha = 10, the report reads the offsets
+        embedding_classes keyed, so Gamma2 is walked once beyond parsing the
+        block's 1,024 keys: 2,048 elements are built, not 3,072."""
+        built = []
+        init = Gamma2Element.__init__
+
+        def counted(self, coords):
+            built.append(coords)
+            init(self, coords)
+
+        monkeypatch.setattr(Gamma2Element, "__init__", counted)
+        cosets = ["".join(bits) for bits in itertools.product("01", repeat=10)]
+        path = write_json(tmp_path, "a10.json", {
+            "linking_matrix": [[2 * (i == j) for j in range(10)] for i in range(10)],
+            "spin_boundary_signatures": {c: [2 * (k % 3)] for k, c in enumerate(cosets)}})
+        code, out, _ = run(capsys, "embeddings", path)
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()[1:]] == [
+            f"coset {c}" for c in cosets]
+        assert len(built) == 2 * 2 ** 10
 
 
 class TestVerifyCommand:

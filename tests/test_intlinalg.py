@@ -198,6 +198,12 @@ class TestSignature:
     def test_hyperbolic_plane(self):
         assert signature([[0, 1], [1, 0]]) == 0
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [3, 4]], [[1, 2, 3]], [[1], [2]]],
+                             ids=["asymmetric", "wide", "tall"])
+    def test_rows_that_are_not_symmetric_are_refused(self, rows):
+        with pytest.raises(AsymmetricMatrix):
+            signature(rows)
+
     def test_matches_charpoly_oracle(self):
         rng = random.Random(99)
         for _ in range(120):
@@ -214,6 +220,16 @@ class TestSignature:
             assert signature(neg) == -signature(a)
             g = random_unimodular(rng, a.n)
             assert signature(congruence(a, g)) == signature(a)
+
+
+class TestCongruence:
+    def test_transform_of_another_size_is_refused(self):
+        a = IntSymMatrix([[1, 0], [0, 1]])
+        for g in ([[1, 0, 5], [0, 1, 7]], [[1, 0]], [[1], [0]], []):
+            with pytest.raises(ValueError, match="^dimension mismatch in congruence$"):
+                congruence(a, g)
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            congruence(a, [[1, 0], [0]])
 
 
 class TestSolveMod2:

@@ -8,8 +8,8 @@ move) and alpha >= 2.
 The signature is checked against the former ``Fraction`` congruence
 routine, on 2,500 matrices of each family.
 
-``smith_mod2`` is checked against the full ``smith_normal_form``: the same
-factors, and u times the kept u^{-1} is the identity mod 2, on 2,500
+``_smith_mod2`` is checked against the full ``smith_normal_form``: the
+same factors, and u times the kept u^{-1} is the identity mod 2, on 2,500
 matrices of each family.
 
 H1 as ``homology_profile`` computes it is checked against the former Smith
@@ -94,16 +94,15 @@ from imm5.intlinalg import (
     _TAIL,
     IntSymMatrix,
     Mod2Solution,
-    _as_row_lists,
     _factors_mod_det,
     _gauss_jordan_mod2,
     _rescale,
     _signature_det,
+    _smith_mod2,
     _smith_reduce,
     _xor_lookup,
     det_int,
     signature,
-    smith_mod2,
     smith_normal_form,
     solve_mod2,
 )
@@ -139,9 +138,8 @@ def fraction_signature(a) -> int:
     congruence reduction with rational pivots.  The empty matrix has
     signature 0.
     """
-    rows = _as_row_lists(a)
-    n = len(rows)
-    M = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    M = [[Fraction(x) for x in row] for row in a]
     pos = neg = 0
     t = 0
     while t < n:
@@ -331,10 +329,10 @@ def test_smith_mod2_matches_full_transform(family):
     for _ in range(PER_FAMILY):
         rows = instance(family, rng)
         full = smith_normal_form(rows)
-        fast = smith_mod2(rows)
-        assert fast.invariant_factors == full.invariant_factors, rows
+        factors, cols = _smith_mod2([list(r) for r in rows])
+        assert factors == full.invariant_factors, rows
         # (u u^{-1})[r][i] is the parity of row r of u against column i
-        assert [[(_mask(r) & c).bit_count() & 1 for c in fast.u_inverse_mod2]
+        assert [[(_mask(r) & c).bit_count() & 1 for c in cols]
                 for r in full.u] == [[int(i == j) for j in range(len(rows))]
                                      for i in range(len(rows))], rows
 
@@ -367,7 +365,7 @@ def route_instance(family: str, rng: random.Random) -> list[list[int]]:
 
 
 class Mod2Rows:
-    """The former replay of ``smith_mod2``: u mod 2, one int bitmask per
+    """The former replay of ``_smith_mod2``: u mod 2, one int bitmask per
     row."""
 
     def __init__(self, n: int):
@@ -413,9 +411,9 @@ def test_homology_routes_match_smith_route(monkeypatch):
 
     def counted_smith_mod2(a):
         smith_runs.append(a)
-        return smith_mod2(a)
+        return _smith_mod2(a)
 
-    monkeypatch.setattr(surgery, "smith_mod2", counted_smith_mod2)
+    monkeypatch.setattr(surgery, "_smith_mod2", counted_smith_mod2)
     rng = random.Random("homology-routes")
     mod_det = alpha1 = block = modulus = smith = wu_checked = 0
     for k in range(ROUTE_CASES):

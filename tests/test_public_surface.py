@@ -43,7 +43,6 @@ PUBLIC = [
     "SeifertFillingR6",
     "SmaleClass",
     "SmithDecomposition",
-    "SmithMod2",
     "SpinBoundarySignatures",
     "SpinStructure",
     "SurgeryPresentation",
@@ -63,7 +62,6 @@ PUBLIC = [
     "signature",
     "smale_via_seifert_r5",
     "smale_via_seifert_r6",
-    "smith_mod2",
     "smith_normal_form",
     "solve_for_summand",
     "solve_mod2",
@@ -136,3 +134,24 @@ def test_traced_names_resolve():
     for module, name, _span in traced:
         assert module.startswith("imm5."), module
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_readme_quick_start_runs():
+    """README's ``Quick start (library)`` block runs as written, and each
+    expression marked ``# -> value`` evaluates to that value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (library)\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        _, arrow, expected = lines[stmt.end_lineno - 1].partition("# ->")
+        if arrow:
+            assert isinstance(stmt, ast.Expr)
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == ast.literal_eval(expected.split(";")[0].strip())
+            checked.append(got)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == [(8, (1, 1, 1)), 12, (2, 12)]

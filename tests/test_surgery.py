@@ -167,10 +167,10 @@ def _plumbing_chain(n):
 class TestOneReductionEach:
     """q is eliminated once over Z (``_signature_det``) and once over Z2
     (``_gauss_jordan_mod2``) however many readers ask, and by
-    ``smith_mod2`` once when its H1 route needs the Smith form and never
+    ``_smith_mod2`` once when its H1 route needs the Smith form and never
     otherwise."""
 
-    REDUCTIONS = ("_signature_det", "_gauss_jordan_mod2", "smith_mod2")
+    REDUCTIONS = ("_signature_det", "_gauss_jordan_mod2", "_smith_mod2")
 
     def _count_calls(self, monkeypatch):
         """Count each reduction through every module of the package that

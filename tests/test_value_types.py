@@ -1,4 +1,4 @@
-"""The package's 22 value types (``errors._Value``) against dataclass twins.
+"""The package's 21 value types (``errors._Value``) against dataclass twins.
 
 Each twin below is a frozen dataclass with the fields, annotations,
 defaults and check the type was declared with before it had a
@@ -41,12 +41,6 @@ class SmithDecomposition:
     v: tuple[tuple[int, ...], ...]
     s: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SmithMod2:
-    invariant_factors: tuple[int, ...]
-    u_inverse_mod2: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ class CheckReport:
 
 
 REAL = {cls.__name__: cls for cls in (
-    intlinalg.SmithDecomposition, intlinalg.SmithMod2, intlinalg.Mod2Solution,
+    intlinalg.SmithDecomposition, intlinalg.Mod2Solution,
     surgery.SurgeryPresentation, surgery.HomologyProfile, surgery.Gamma2Element,
     spin.SpinStructure, spin.WuCoset,
     embeddings.SpinBoundarySignatures, embeddings.EmbeddingClassSet,
@@ -272,7 +266,7 @@ def instance(rng, cls):
 
 
 def test_twins_cover_every_value_type():
-    assert len(PAIRS) == 22
+    assert len(PAIRS) == 21
     assert all(issubclass(real, _Value) and dataclasses.is_dataclass(twin)
                for real, twin in PAIRS)
 
